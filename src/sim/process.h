@@ -1,31 +1,38 @@
-// A simulated process: user code that runs on its own OS thread but is
-// scheduled cooperatively — exactly one process (or the scheduler) executes
-// at any instant, so simulation state needs no locking and runs are
-// deterministic.
+// A simulated process: user code that runs on its own fiber — a fixed-size
+// stack of its own, switched to and from in user space on the simulation's
+// one OS thread. Scheduling is cooperative: exactly one process (or the
+// scheduler) executes at any instant, so simulation state needs no locking
+// and runs are deterministic. DESIGN.md §5 states the fiber contract.
 //
 // Processes block inside simulated primitives (delay, channels, resources);
 // the scheduler resumes them when the corresponding simulated event fires.
 #pragma once
 
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
+
+#if !defined(__x86_64__) || !defined(__linux__)
+#error "sim::Process switches fiber stacks in x86-64 SysV assembly on Linux"
+#endif
 
 namespace sv::sim {
 
 class Simulation;
 
 /// Thrown inside a process when the simulation shuts down while the process
-/// is blocked; unwinds the process thread cleanly. User code should not
+/// is blocked; unwinds the process's stack cleanly. User code should not
 /// catch it (or must rethrow).
 struct ProcessKilled {};
 
 class Process {
  public:
+  /// Usable stack of every process. A PROT_NONE guard page sits below it:
+  /// overflowing into it kills the run with a message naming the process.
+  static constexpr std::size_t kStackBytes = 256 * 1024;
+
   Process(Simulation* sim, std::uint64_t id, std::string name,
           std::function<void()> body);
   ~Process();
@@ -44,30 +51,46 @@ class Process {
 
  private:
   friend class Simulation;
+  friend class StackGuard;  // process.cc: names the process on overflow
 
-  enum class Ctl { kScheduler, kProcess };
-
-  /// Scheduler-side: hand control to the process, wait until it yields back.
+  /// Scheduler-side: switch to the process; returns once it yields back.
   void resume_from_scheduler();
-  /// Process-side: hand control back to the scheduler, wait to be resumed.
+  /// Process-side: switch back to the scheduler; returns once resumed.
   void yield_to_scheduler();
-  void trampoline();
+  /// First frame on the fiber's stack: runs the body, then switches away
+  /// for good.
+  static void entry(Process* self);
+  /// The two halves of a process-side switch. `fake_stack` carries ASan's
+  /// fake stack across it: nullptr out of a finished fiber, and into one
+  /// that has not run yet.
+  void switch_out(void** fake_stack);
+  void switch_in(void* fake_stack);
+  /// Unmaps the stack and retires the sanitizer fiber.
+  void release_stack();
 
   Simulation* sim_;
   std::uint64_t id_;
   std::string name_;
   std::function<void()> body_;
 
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  Ctl ctl_ = Ctl::kScheduler;
+  // The fiber: its mapping (guard page, then stack), its stack pointer while
+  // suspended, and the scheduler's while it runs.
+  char* mapping_ = nullptr;
+  void* sp_ = nullptr;
+  void* scheduler_sp_ = nullptr;
+  // Sanitizer fiber state, unused in plain builds. The scheduler's stack
+  // bounds are kept per process: a process may itself run a simulation,
+  // so the stack that resumed it is not always the OS thread's.
+  const void* scheduler_stack_ = nullptr;
+  std::size_t scheduler_stack_bytes_ = 0;
+  void* tsan_fiber_ = nullptr;
+  void* tsan_scheduler_ = nullptr;
 
   bool finished_ = false;
   bool blocked_ = false;       // waiting for an explicit wake()
   std::uint64_t wait_epoch_ = 0;  // bumps on every block; guards stale wakes
   std::string block_reason_;
   std::exception_ptr error_;
-  std::thread thread_;
 };
 
 }  // namespace sv::sim

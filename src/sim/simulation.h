@@ -30,7 +30,7 @@ class Simulation {
   /// reference heap, so this only matters for differential tests/benches.
   explicit Simulation(QueueKind queue_kind = QueueKind::kTimingWheel);
   /// Destroys the simulation; any still-blocked processes are unwound via
-  /// ProcessKilled so their threads join cleanly.
+  /// ProcessKilled so their stacks unwind cleanly.
   ~Simulation();
 
   Simulation(const Simulation&) = delete;

@@ -135,8 +135,8 @@ TEST(ProcessTest, ExceptionInProcessPropagatesToRun) {
 }
 
 TEST(ProcessTest, DestructionUnwindsBlockedProcesses) {
-  // A simulation destroyed while processes are blocked must join all
-  // threads without hanging (ProcessKilled unwind).
+  // A simulation destroyed while processes are blocked must unwind every
+  // process's stack without hanging (ProcessKilled unwind).
   bool cleanup_ran = false;
   {
     Simulation s;
@@ -224,6 +224,46 @@ TEST(ProcessTest, RunForAdvancesWindow) {
   EXPECT_EQ(s.now(), 35_us);
   s.run_for(30_us);
   EXPECT_EQ(ticks, 6);
+}
+
+TEST(ProcessTest, ProcessCanRunANestedSimulation) {
+  // The inner simulation's scheduler runs on the outer process's stack, so
+  // its processes switch to and from that stack, not the thread's.
+  Simulation outer;
+  std::vector<std::string> log;
+  outer.spawn("outer", [&] {
+    outer.delay(5_us);
+    Simulation inner;
+    inner.spawn("inner", [&] {
+      inner.delay(7_us);
+      log.push_back("inner@" + std::to_string(inner.now().ns()));
+    });
+    inner.run();
+    outer.delay(1_us);
+    log.push_back("outer@" + std::to_string(outer.now().ns()));
+  });
+  outer.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"inner@7000", "outer@6000"}));
+}
+
+// Recurses `depth` frames of 1 KiB each, which the optimiser cannot drop.
+std::size_t recurse(std::size_t depth) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0) return 0;
+  return recurse(depth - 1) + static_cast<std::size_t>(frame[0]);
+}
+
+TEST(ProcessDeathTest, StackOverflowNamesTheProcess) {
+  // Far deeper than Process::kStackBytes: the guard page below the stack
+  // turns the overflow into a loud death that names the process.
+  EXPECT_DEATH(
+      {
+        Simulation s;
+        s.spawn("runaway", [] { (void)recurse(std::size_t{1} << 30); });
+        s.run();
+      },
+      "stack overflow in process 'runaway'");
 }
 
 }  // namespace

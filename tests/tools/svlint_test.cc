@@ -247,9 +247,10 @@ TEST(SvlintRules, Sv011CatchesRawConcurrencyOutsideSim) {
   EXPECT_EQ(fs.back().line, 15);
 }
 
-TEST(SvlintRules, Sv011ExemptsTheSimScheduler) {
-  EXPECT_TRUE(scan_fixture("src/sim/thread_ok.cc").empty())
-      << "src/sim implements the sanctioned scheduler";
+TEST(SvlintRules, Sv011CoversTheSimScheduler) {
+  const auto fs = scan_source("src/sim/process.cc", "#include <thread>\n");
+  ASSERT_EQ(fs.size(), 1u) << "processes are fibers: src/sim has no carve-out";
+  EXPECT_EQ(fs[0].rule, "SV011");
 }
 
 TEST(SvlintRules, Sv012ChecksMetricFamiliesAgainstManifest) {
