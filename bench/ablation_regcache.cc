@@ -15,14 +15,12 @@
 //   regcache         wins high-locality reuse (hits skip the pin), but
 //                    thrashes when capacity < working set
 //
-// Results go to stdout and BENCH_regcache.json. CI's mem job runs
-// `--quick` and gates it with tools/bench_compare.py: deterministic
-// fields (send-loop time, ledger counters, winners) exact-match; hit-rate
-// and events/sec ratio-gated.
-#include <chrono>
+// Results go to stdout and BENCH_regcache.json (a harness::BenchReport,
+// one row per cell and policy). CI's mem job runs `--quick` and gates it
+// with tools/bench_compare.py: deterministic fields (send-loop time,
+// ledger counters, winners) exact-match; events/sec ratio-gated.
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -30,6 +28,7 @@
 #include "common/cli.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "harness/bench_report.h"
 #include "mem/copy_policy.h"
 #include "sockets/factory.h"
 
@@ -39,6 +38,8 @@ namespace {
 /// Hot-region pool size: sits between the two swept cache capacities so
 /// the small cache thrashes on it and the large one holds it.
 constexpr std::uint64_t kWorkingSet = 16;
+/// The calibrated registration cost: the only one a --quick run sweeps.
+constexpr int kCalibratedRegScalePct = 100;
 
 struct PolicyResult {
   mem::CopyPolicyKind kind = mem::CopyPolicyKind::kStaticPool;
@@ -74,7 +75,6 @@ struct Cell {
   int reg_cost_scale_pct = 100;
   std::size_t capacity = 64;
   std::vector<PolicyResult> policies;
-  mem::CopyPolicyKind winner = mem::CopyPolicyKind::kStaticPool;
 
   [[nodiscard]] std::string name() const {
     return "sz" + std::to_string(msg_bytes) + "_loc" +
@@ -124,13 +124,7 @@ PolicyResult run_policy(mem::CopyPolicyKind kind, const Cell& cell,
     send_loop = s.now() - t0;
     a->close_send();
   });
-  // Wall time IS the simulator-throughput measurement, not simulated
-  // state. svlint:allow(SV004)
-  const auto w0 = std::chrono::steady_clock::now();
-  s.run();
-  // svlint:allow(SV004) — see above.
-  const auto w1 = std::chrono::steady_clock::now();
-  r.wall_seconds = std::chrono::duration<double>(w1 - w0).count();
+  r.wall_seconds = harness::wall_seconds([&] { s.run(); });
 
   const auto& reg = s.obs().registry;
   r.send_loop_ns = static_cast<std::uint64_t>(send_loop.ns());
@@ -145,60 +139,6 @@ PolicyResult run_policy(mem::CopyPolicyKind kind, const Cell& cell,
   r.events_fired = s.events_fired();
   r.trace_digest = s.engine().trace_digest();
   return r;
-}
-
-void emit_json(const std::vector<Cell>& cells, bool quick,
-               const std::string& path) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"regcache\",\n  \"quick\": "
-      << (quick ? "true" : "false") << ",\n  \"working_set\": " << kWorkingSet
-      << ",\n  \"cells\": [\n";
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    const Cell& cell = cells[c];
-    char head[256];
-    std::snprintf(head, sizeof(head),
-                  "    {\"name\": \"%s\", \"msg_bytes\": %llu, "
-                  "\"locality_pct\": %d, \"reg_cost_scale_pct\": %d, "
-                  "\"capacity\": %llu, \"winner\": \"%s\",\n"
-                  "     \"policies\": [\n",
-                  cell.name().c_str(),
-                  static_cast<unsigned long long>(cell.msg_bytes),
-                  cell.locality_pct, cell.reg_cost_scale_pct,
-                  static_cast<unsigned long long>(cell.capacity),
-                  std::string(mem::copy_policy_name(cell.winner)).c_str());
-    out << head;
-    for (std::size_t p = 0; p < cell.policies.size(); ++p) {
-      const PolicyResult& r = cell.policies[p];
-      char buf[640];
-      std::snprintf(
-          buf, sizeof(buf),
-          "      {\"policy\": \"%s\", \"send_loop_ns\": %llu, "
-          "\"delivered\": %llu,\n"
-          "       \"copies\": %llu, \"copy_bytes\": %llu, "
-          "\"registrations\": %llu, \"deregistrations\": %llu,\n"
-          "       \"regcache_hits\": %llu, \"regcache_misses\": %llu, "
-          "\"regcache_evictions\": %llu, \"hit_rate\": %.4f,\n"
-          "       \"events_fired\": %llu, \"events_per_sec\": %.0f, "
-          "\"trace_digest\": %llu}%s\n",
-          std::string(mem::copy_policy_name(r.kind)).c_str(),
-          static_cast<unsigned long long>(r.send_loop_ns),
-          static_cast<unsigned long long>(r.delivered),
-          static_cast<unsigned long long>(r.copies),
-          static_cast<unsigned long long>(r.copy_bytes),
-          static_cast<unsigned long long>(r.registrations),
-          static_cast<unsigned long long>(r.deregistrations),
-          static_cast<unsigned long long>(r.hits),
-          static_cast<unsigned long long>(r.misses),
-          static_cast<unsigned long long>(r.evictions), r.hit_rate(),
-          static_cast<unsigned long long>(r.events_fired),
-          r.events_per_sec(),
-          static_cast<unsigned long long>(r.trace_digest),
-          p + 1 < cell.policies.size() ? "," : "");
-      out << buf;
-    }
-    out << "     ]}" << (c + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
 }
 
 }  // namespace
@@ -226,13 +166,15 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> sizes = {512, 4096, 65536};
   const std::vector<int> localities = {0, 50, 95};
   const std::vector<int> reg_scales =
-      quick ? std::vector<int>{100} : std::vector<int>{100, 400};
+      quick ? std::vector<int>{kCalibratedRegScalePct}
+            : std::vector<int>{kCalibratedRegScalePct, 400};
   const std::vector<std::size_t> capacities = {8, 64};
   const mem::CopyPolicyKind kinds[] = {mem::CopyPolicyKind::kEagerCopy,
                                        mem::CopyPolicyKind::kRegisterOnFly,
                                        mem::CopyPolicyKind::kRegCache};
 
-  std::vector<Cell> cells;
+  harness::BenchReport report("regcache", quick);
+  bool all_delivered = true;
   for (const std::uint64_t sz : sizes) {
     for (const int loc : localities) {
       for (const int scale : reg_scales) {
@@ -249,24 +191,47 @@ int main(int argc, char** argv) {
           for (const PolicyResult& r : cell.policies) {
             if (r.send_loop_ns < best->send_loop_ns) best = &r;
           }
-          cell.winner = best->kind;
+          const std::string winner(mem::copy_policy_name(best->kind));
           std::printf("%-26s |", cell.name().c_str());
           for (const PolicyResult& r : cell.policies) {
-            std::printf(" %s %8.1f us (hit %4.0f%%) |",
-                        std::string(mem::copy_policy_name(r.kind)).c_str(),
+            const std::string policy(mem::copy_policy_name(r.kind));
+            std::printf(" %s %8.1f us (hit %4.0f%%) |", policy.c_str(),
                         static_cast<double>(r.send_loop_ns) / 1e3 /
                             static_cast<double>(n),
                         r.hit_rate() * 100.0);
+            all_delivered =
+                all_delivered && r.delivered == static_cast<std::uint64_t>(n);
+            report.row(cell.name() + "/" + policy,
+                       scale == kCalibratedRegScalePct)
+                .exact("msg_bytes", cell.msg_bytes)
+                .exact("locality_pct", cell.locality_pct)
+                .exact("reg_cost_scale_pct", cell.reg_cost_scale_pct)
+                .exact("capacity", cell.capacity)
+                .exact("working_set", kWorkingSet)
+                .exact("policy", policy)
+                .exact("winner", winner)
+                .exact("send_loop_ns", r.send_loop_ns)
+                .exact("delivered", r.delivered)
+                .exact("copies", r.copies)
+                .exact("copy_bytes", r.copy_bytes)
+                .exact("registrations", r.registrations)
+                .exact("deregistrations", r.deregistrations)
+                .exact("regcache_hits", r.hits)
+                .exact("regcache_misses", r.misses)
+                .exact("regcache_evictions", r.evictions)
+                .info("hit_rate", r.hit_rate(), 4)
+                .exact("events_fired", r.events_fired)
+                .ratio("events_per_sec", r.events_per_sec())
+                .exact("trace_digest", r.trace_digest);
           }
-          std::printf(" winner %s\n",
-                      std::string(mem::copy_policy_name(cell.winner)).c_str());
-          cells.push_back(std::move(cell));
+          std::printf(" winner %s\n", winner.c_str());
         }
       }
     }
   }
+  report.check("every_message_delivered", all_delivered);
 
-  emit_json(cells, quick, json_path);
+  report.write(json_path);
   std::cout << "wrote " << json_path << "\n";
   return 0;
 }

@@ -13,27 +13,29 @@
 //                    host-independent, reproducible from (config, seed))
 //   trace_digest     determinism evidence for the exact executed schedule
 //
-// Results go to stdout and BENCH_scale_sweep.json at the repo root. CI's
-// scale-smoke job runs `--quick` (the 64-node subset) and gates it with
-// tools/bench_compare.py: events/sec against the committed baseline, plus
-// machine-independent invariants (p99 >= p50, oversubscription inflating
-// the tail).
-#include <chrono>
+// Results go to stdout and BENCH_scale_sweep.json at the repo root (a
+// harness::BenchReport). CI's scale-smoke job runs `--quick` (the 64-node
+// subset) and gates it with tools/bench_compare.py: model outputs exactly,
+// events/sec against the committed baseline, and the machine-independent
+// invariant p99 >= p50.
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/cli.h"
 #include "common/units.h"
+#include "harness/bench_report.h"
 #include "harness/openloop.h"
 #include "net/calibration.h"
 #include "net/topology.h"
 
 namespace sv {
 namespace {
+
+constexpr int kQuickNodes = 64;  // the --quick subset
 
 struct SweepPoint {
   std::string topology;
@@ -77,48 +79,9 @@ SweepPoint run_point(int nodes, int oversub, net::Transport tr) {
   p.nodes = nodes;
   p.oversubscription = oversub;
   p.transport = tr;
-  // Wall time IS the simulator-throughput measurement here, not simulated
-  // state. svlint:allow(SV004)
-  const auto t0 = std::chrono::steady_clock::now();
-  p.result = harness::run_open_loop(cfg);
-  // svlint:allow(SV004) — see above.
-  const auto t1 = std::chrono::steady_clock::now();
-  p.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  p.wall_seconds =
+      harness::wall_seconds([&] { p.result = harness::run_open_loop(cfg); });
   return p;
-}
-
-void emit_json(const std::vector<SweepPoint>& points, bool quick,
-               const std::string& path) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"scale_sweep\",\n  \"quick\": "
-      << (quick ? "true" : "false") << ",\n  \"points\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"name\": \"%s_x%d_%s\", \"topology\": \"%s\", "
-        "\"nodes\": %d, \"oversubscription\": %d, \"transport\": \"%s\",\n"
-        "     \"offered\": %llu, \"delivered\": %llu, \"drops\": %llu,\n"
-        "     \"p50_update_ns\": %.0f, \"p99_update_ns\": %.0f,\n"
-        "     \"events_fired\": %llu, \"events_per_sec\": %.0f, "
-        "\"wall_seconds\": %.4f,\n"
-        "     \"trace_digest\": %llu}%s\n",
-        p.topology.c_str(), p.oversubscription,
-        net::transport_name(p.transport), p.topology.c_str(), p.nodes,
-        p.oversubscription, net::transport_name(p.transport),
-        static_cast<unsigned long long>(p.result.offered),
-        static_cast<unsigned long long>(p.result.delivered),
-        static_cast<unsigned long long>(p.result.drops),
-        p.result.update_latency.percentile(50.0),
-        p.result.update_latency.percentile(99.0),
-        static_cast<unsigned long long>(p.result.events_fired),
-        p.events_per_sec(), p.wall_seconds,
-        static_cast<unsigned long long>(p.result.trace_digest),
-        i + 1 < points.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
 }
 
 }  // namespace
@@ -138,16 +101,19 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   const std::vector<int> node_counts =
-      quick ? std::vector<int>{64} : std::vector<int>{16, 64, 256};
+      quick ? std::vector<int>{kQuickNodes} : std::vector<int>{16, 64, 256};
   const std::vector<int> ratios = {1, 4};
   const std::vector<net::Transport> transports = {
       net::Transport::kSocketVia, net::Transport::kKernelTcp};
 
-  std::vector<SweepPoint> points;
+  harness::BenchReport report("scale_sweep", quick);
+  bool tail_above_median = true;
   for (const int nodes : node_counts) {
     for (const int r : ratios) {
       for (const net::Transport tr : transports) {
-        SweepPoint p = run_point(nodes, r, tr);
+        const SweepPoint p = run_point(nodes, r, tr);
+        const double p50 = p.result.update_latency.percentile(50.0);
+        const double p99 = p.result.update_latency.percentile(99.0);
         std::printf(
             "%-12s x%d %-5s %4d nodes | %7llu offered %7llu delivered "
             "%5llu drops | p50 %9.0f ns p99 %9.0f ns | %9.0f ev/s\n",
@@ -155,15 +121,33 @@ int main(int argc, char** argv) {
             net::transport_name(p.transport), p.nodes,
             static_cast<unsigned long long>(p.result.offered),
             static_cast<unsigned long long>(p.result.delivered),
-            static_cast<unsigned long long>(p.result.drops),
-            p.result.update_latency.percentile(50.0),
-            p.result.update_latency.percentile(99.0), p.events_per_sec());
-        points.push_back(std::move(p));
+            static_cast<unsigned long long>(p.result.drops), p50, p99,
+            p.events_per_sec());
+        tail_above_median = tail_above_median && p99 >= p50;
+        const std::string transport = net::transport_name(p.transport);
+        const std::string name = p.topology + "_x" +
+                                 std::to_string(p.oversubscription) + "_" +
+                                 transport;
+        report.row(name, nodes == kQuickNodes)
+            .exact("topology", p.topology)
+            .exact("nodes", p.nodes)
+            .exact("oversubscription", p.oversubscription)
+            .exact("transport", transport)
+            .exact("offered", p.result.offered)
+            .exact("delivered", p.result.delivered)
+            .exact("drops", p.result.drops)
+            .exact("p50_update_ns", std::llround(p50))
+            .exact("p99_update_ns", std::llround(p99))
+            .exact("events_fired", p.result.events_fired)
+            .ratio("events_per_sec", p.events_per_sec())
+            .info("wall_seconds", p.wall_seconds, 4)
+            .exact("trace_digest", p.result.trace_digest);
       }
     }
   }
+  report.check("p99_ge_p50", tail_above_median);
 
-  emit_json(points, quick, json_path);
+  report.write(json_path);
   std::cout << "wrote " << json_path << "\n";
   return 0;
 }

@@ -70,8 +70,6 @@ std::uint64_t Registry::sum_counters(const std::string& prefix) const {
   return total;
 }
 
-namespace {
-
 // Metric names may contain '>', '{', '='; none need JSON escaping, but
 // quote and backslash do for safety.
 void write_json_string(std::ostream& os, const std::string& s) {
@@ -82,8 +80,6 @@ void write_json_string(std::ostream& os, const std::string& s) {
   }
   os << '"';
 }
-
-}  // namespace
 
 void Registry::write_json(std::ostream& os) const {
   os << "{\n  \"counters\": {";

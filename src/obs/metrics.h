@@ -131,4 +131,7 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
+/// Writes `s` as a JSON string literal (quote and backslash escaped).
+void write_json_string(std::ostream& os, const std::string& s);
+
 }  // namespace sv::obs

@@ -53,11 +53,6 @@ const std::vector<RuleInfo> kRules = {
      "control < sim < mem < net < tcpstack = via < sockets < datacutter < "
      "vizapp < harness): a src/ module may include itself and strictly "
      "lower layers only (DESIGN.md §11)"},
-    {"SV010",
-     "discarded Result<T> from a timed operation (send_for/recv_for/"
-     "wait_completion_for): a dropped timeout silently turns a detected "
-     "stall back into a hang; assign the result or cast to (void) with a "
-     "reason"},
     {"SV011",
      "raw OS concurrency (std::thread/mutex/atomic/condition_variable or "
      "their headers) in src/: simulated processes are fibers on one OS "
@@ -133,11 +128,6 @@ bool mem_rule_applies(const std::string& rel_path) {
   return starts_with(rel_path, "src/") || starts_with(rel_path, "bench/");
 }
 
-bool result_rule_applies(const std::string& rel_path) {
-  return starts_with(rel_path, "src/") || starts_with(rel_path, "bench/") ||
-         starts_with(rel_path, "examples/");
-}
-
 bool thread_rule_applies(const std::string& rel_path) {
   // Simulated processes are fibers on one OS thread (src/sim/process.h);
   // OS concurrency has no place anywhere in src/.
@@ -204,19 +194,6 @@ std::size_t close_bracket(const Tokens& t, std::size_t open) {
   for (std::size_t i = open; i < t.size(); ++i) {
     if (punct_any(t, i, {"(", "[", "{"})) ++depth;
     if (punct_any(t, i, {")", "]", "}"})) {
-      --depth;
-      if (depth == 0) return i;
-    }
-  }
-  return npos;
-}
-
-// t[close] is ")": index of the matching "(", or npos.
-std::size_t open_bracket_before(const Tokens& t, std::size_t close) {
-  int depth = 0;
-  for (std::size_t i = close + 1; i-- > 0;) {
-    if (punct_any(t, i, {")", "]", "}"})) ++depth;
-    if (punct_any(t, i, {"(", "[", "{"})) {
       --depth;
       if (depth == 0) return i;
     }
@@ -619,65 +596,6 @@ void check_sv009(const std::string& rel_path, const LexedFile& lx,
 }
 
 // ---------------------------------------------------------------------------
-// SV010: discarded timed-operation results
-// ---------------------------------------------------------------------------
-
-// Walks the postfix chain backwards from the callee identifier at `i`
-// ("mine().delivered.recv_for" -> index of "mine") and returns the index of
-// the chain's first token.
-std::size_t chain_begin(const Tokens& t, std::size_t i) {
-  std::size_t j = i;
-  while (j >= 2 && punct_any(t, j - 1, {".", "->", "::"})) {
-    std::size_t k = j - 2;
-    if (P(t, k, ")")) {
-      const std::size_t open = open_bracket_before(t, k);
-      if (open == npos || open == 0 || !is_ident(t, open - 1)) break;
-      k = open - 1;
-    } else if (!is_ident(t, k)) {
-      break;
-    }
-    j = k;
-  }
-  return j;
-}
-
-void check_sv010(const std::string& rel_path, const Tokens& t,
-                 std::vector<Finding>* out) {
-  if (!result_rule_applies(rel_path)) return;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!ident_any(t, i, {"send_for", "recv_for", "wait_completion_for"}) ||
-        !P(t, i + 1, "(")) {
-      continue;
-    }
-    const std::size_t close = close_bracket(t, i + 1);
-    // The whole statement must be the call: anything after the ')' other
-    // than ';' means the value is consumed (.ok(), .value(), a comparison).
-    if (close == npos || !P(t, close + 1, ";")) continue;
-    const std::size_t begin = chain_begin(t, i);
-    if (begin == 0) {
-      add(out, rel_path, t[i].line, "SV010",
-          "discarded Result from '" + t[i].text + "'");
-      continue;
-    }
-    const Token& prev = t[begin - 1];
-    // "(void)chain->send_for(...);" is the sanctioned explicit discard.
-    if (prev.kind == Tok::kPunct && prev.text == ")" && begin >= 3 &&
-        I(t, begin - 2, "void") && P(t, begin - 3, "(")) {
-      continue;
-    }
-    const bool discarded =
-        punct_any(t, begin - 1, {";", "{", "}", ")", ":"}) ||
-        ident_any(t, begin - 1, {"else", "do"});
-    if (discarded) {
-      add(out, rel_path, t[i].line, "SV010",
-          "discarded Result from '" + t[i].text +
-              "': a dropped timeout turns a detected stall back into a "
-              "hang; assign it or cast to (void) with a reason");
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // SV011: raw OS concurrency in src/
 // ---------------------------------------------------------------------------
 
@@ -880,7 +798,6 @@ std::vector<Finding> scan_lexed(const std::string& rel_path,
   check_sv007(rel_path, t, &findings);
   check_sv008(rel_path, t, &findings);
   check_sv009(rel_path, lx, &findings);
-  check_sv010(rel_path, t, &findings);
   check_sv011(rel_path, lx, &findings);
   check_sv012(rel_path, t, ctx, &findings);
   check_sv013(rel_path, t, &findings);
