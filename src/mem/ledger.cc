@@ -6,20 +6,32 @@
 
 namespace sv::mem {
 
+CopyCounters::CopyCounters(obs::Hub* hub, std::string_view stage)
+    : hub_(hub), stage_(stage) {
+  obs::Registry& reg = hub->registry;
+  const std::string at = "{at=" + std::string(stage) + "}";
+  copies_ = &reg.counter("mem.copies");
+  stage_copies_ = &reg.counter("mem.copies" + at);
+  bytes_ = &reg.counter("mem.copy_bytes");
+  stage_bytes_ = &reg.counter("mem.copy_bytes" + at);
+}
+
+void CopyCounters::charge(SimTime now, int node, std::uint64_t bytes) const {
+  copies_->inc();
+  stage_copies_->inc();
+  bytes_->inc(bytes);
+  stage_bytes_->inc(bytes);
+  if (hub_->tracer.enabled()) {
+    std::string name = "copy.";
+    name += stage_;
+    hub_->tracer.instant(now, node, "mem", name, bytes);
+  }
+}
+
 void charge_copy(obs::Hub* hub, SimTime now, int node, std::string_view stage,
                  std::uint64_t bytes) {
   if (hub == nullptr) return;
-  obs::Registry& reg = hub->registry;
-  const std::string at = "{at=" + std::string(stage) + "}";
-  reg.counter("mem.copies").inc();
-  reg.counter("mem.copies" + at).inc();
-  reg.counter("mem.copy_bytes").inc(bytes);
-  reg.counter("mem.copy_bytes" + at).inc(bytes);
-  if (hub->tracer.enabled()) {
-    std::string name = "copy.";
-    name += stage;
-    hub->tracer.instant(now, node, "mem", name, bytes);
-  }
+  CopyCounters(hub, stage).charge(now, node, bytes);
 }
 
 void charge_registration(obs::Hub* hub, SimTime now, int node,

@@ -20,13 +20,36 @@
 #include "common/units.h"
 
 namespace sv::obs {
+class Counter;
 struct Hub;
 }  // namespace sv::obs
 
 namespace sv::mem {
 
+/// One copy stage's ledger entry, bound once: the `mem.copies` and
+/// `mem.copy_bytes` counters, aggregate and `{at=<stage>}`, are created
+/// (if new) and looked up on construction, so a charge does no lookups.
+/// `stage` must outlive the binding.
+class CopyCounters {
+ public:
+  CopyCounters(obs::Hub* hub, std::string_view stage);
+
+  /// Records one payload-byte copy of `bytes` bytes on `node`. No
+  /// simulated time is charged.
+  void charge(SimTime now, int node, std::uint64_t bytes) const;
+
+ private:
+  obs::Hub* hub_;
+  std::string_view stage_;
+  obs::Counter* copies_;
+  obs::Counter* stage_copies_;
+  obs::Counter* bytes_;
+  obs::Counter* stage_bytes_;
+};
+
 /// Records one payload-byte copy of `bytes` bytes at `stage` (e.g.
-/// "tcp.user_to_kernel") on `node`. No simulated time is charged.
+/// "tcp.user_to_kernel") on `node`, binding the stage's counters for this
+/// one charge. No simulated time is charged.
 void charge_copy(obs::Hub* hub, SimTime now, int node, std::string_view stage,
                  std::uint64_t bytes);
 

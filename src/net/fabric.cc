@@ -214,13 +214,16 @@ void Pipe::State::wire_loop() {
     }
     // Propagation is latency, not occupancy: hand off without blocking this
     // stage so back-to-back frames overlap their flight time. EOF takes the
-    // same path so it cannot overtake the final data frame. to_proto is
-    // unbounded, so the event-context send cannot block. The event co-owns
-    // the state via shared_ptr (safe across Pipe destruction).
-    auto shared = std::make_shared<Frame>(std::move(*f));
+    // same path so it cannot overtake the final data frame. The delay is
+    // fixed per pipe, so arrivals fire in push order and each takes the
+    // oldest frame in flight. to_proto is unbounded, so the event-context
+    // send cannot block. The event co-owns the state via shared_ptr (safe
+    // across Pipe destruction).
+    propagating.push_back(std::move(*f));
     sim->schedule(profile.propagation + fabric_latency,
-                  [self = shared_from_this(), shared] {
-                    self->to_proto.send(std::move(*shared));
+                  [self = shared_from_this()] {
+                    self->to_proto.send(std::move(self->propagating.front()));
+                    self->propagating.pop_front();
                   });
     if (eof) break;
   }

@@ -30,6 +30,7 @@
 #include "net/calibration.h"
 #include "net/cluster.h"
 #include "net/cost_model.h"
+#include "sim/ring_fifo.h"
 #include "sim/sync.h"
 
 namespace sv::net {
@@ -165,6 +166,8 @@ class Pipe {
     sim::WaitQueue window_waiters;
 
     sim::Channel<Frame> to_wire;
+    /// Frames crossing the propagation delay, oldest first.
+    sim::RingFifo<Frame> propagating;
     sim::Channel<Frame> to_proto;
     sim::Channel<Message> delivered;
   };

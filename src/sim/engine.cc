@@ -36,7 +36,7 @@ Engine::Engine(QueueKind queue_kind)
       cancelled_count_(&obs_.registry.counter("sim.events_cancelled")),
       queue_(make_event_queue(queue_kind, &obs_.registry)) {}
 
-std::uint64_t Engine::schedule_at(SimTime t, Handler fn) {
+std::uint64_t Engine::schedule_at(SimTime t, Handler&& fn) {
   SV_ASSERT(t >= now_, "Engine::schedule_at: time in the past (t=" +
                            t.to_string() + " now=" + now_.to_string() + ")");
   const std::uint64_t id = next_id_++;
@@ -45,7 +45,7 @@ std::uint64_t Engine::schedule_at(SimTime t, Handler fn) {
   return id;
 }
 
-std::uint64_t Engine::schedule(SimTime delay, Handler fn) {
+std::uint64_t Engine::schedule(SimTime delay, Handler&& fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 

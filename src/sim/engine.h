@@ -35,10 +35,11 @@ class Engine {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `fn` to fire at absolute time `t` (must be >= now()).
-  /// Returns an id usable with `cancel`.
-  std::uint64_t schedule_at(SimTime t, Handler fn);
+  /// Returns an id usable with `cancel`. The handler is moved by
+  /// reference all the way into its event slot.
+  std::uint64_t schedule_at(SimTime t, Handler&& fn);
   /// Schedules `fn` to fire `delay` after now().
-  std::uint64_t schedule(SimTime delay, Handler fn);
+  std::uint64_t schedule(SimTime delay, Handler&& fn);
 
   /// Cancels a pending event; returns false if already fired/cancelled
   /// (cancel-after-fire is detected exactly, not guessed).

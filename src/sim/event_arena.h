@@ -59,7 +59,7 @@ class InlineHandler {
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineBytes &&
                   alignof(Fn) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+      ::new (static_cast<void*>(buf_.bytes)) Fn(std::forward<F>(fn));
       ops_ = inline_ops<Fn>();
     } else {
       heap_ = new Fn(std::forward<F>(fn));
@@ -90,7 +90,7 @@ class InlineHandler {
   /// Destroys the held callable (no-op when empty).
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(target());
+      if (ops_->destroy != nullptr) ops_->destroy(target());
       ops_ = nullptr;
     }
   }
@@ -98,9 +98,11 @@ class InlineHandler {
  private:
   struct Ops {
     void (*invoke)(void*);
-    /// Move-construct into dst's inline buffer and destroy src (inline
-    /// storage only; heap handlers move by pointer steal).
+    /// Move-construct into dst's inline buffer and destroy src. Null when a
+    /// plain copy of the buffer does both (a trivially copyable inline
+    /// callable) and for heap handlers, which move by pointer steal.
     void (*relocate)(void* dst, void* src);
+    /// Null for a trivially destructible inline callable.
     void (*destroy)(void*);
     bool is_inline;
   };
@@ -109,11 +111,15 @@ class InlineHandler {
   static const Ops* inline_ops() {
     static constexpr Ops ops = {
         [](void* p) { (*static_cast<Fn*>(p))(); },
-        [](void* dst, void* src) {
-          ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
-          static_cast<Fn*>(src)->~Fn();
-        },
-        [](void* p) { static_cast<Fn*>(p)->~Fn(); },
+        std::is_trivially_copyable_v<Fn>
+            ? nullptr
+            : +[](void* dst, void* src) {
+                ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
+                static_cast<Fn*>(src)->~Fn();
+              },
+        std::is_trivially_destructible_v<Fn>
+            ? nullptr
+            : +[](void* p) { static_cast<Fn*>(p)->~Fn(); },
         true};
     return &ops;
   }
@@ -129,25 +135,30 @@ class InlineHandler {
   }
 
   [[nodiscard]] void* target() {
-    return ops_ != nullptr && ops_->is_inline ? static_cast<void*>(buf_)
+    return ops_ != nullptr && ops_->is_inline ? static_cast<void*>(buf_.bytes)
                                               : heap_;
   }
 
   void steal(InlineHandler&& o) {
     ops_ = o.ops_;
-    if (ops_ != nullptr) {
-      if (ops_->is_inline) {
-        ops_->relocate(buf_, o.buf_);
-      } else {
-        heap_ = o.heap_;
-      }
-      o.ops_ = nullptr;
+    if (ops_ == nullptr) return;
+    if (!ops_->is_inline) {
+      heap_ = o.heap_;
+    } else if (ops_->relocate == nullptr) {
+      buf_ = o.buf_;
+    } else {
+      ops_->relocate(buf_.bytes, o.buf_.bytes);
     }
+    o.ops_ = nullptr;
   }
+
+  struct Buffer {
+    alignas(std::max_align_t) std::byte bytes[kInlineBytes];
+  };
 
   const Ops* ops_ = nullptr;
   union {
-    alignas(std::max_align_t) std::byte buf_[kInlineBytes];
+    Buffer buf_;
     void* heap_;
   };
 };

@@ -19,7 +19,7 @@ namespace {
 class ReferenceEventQueue final : public EventQueue {
  public:
   void push(SimTime t, std::uint64_t seq, std::uint64_t id,
-            InlineHandler fn) override {
+            InlineHandler&& fn) override {
     queue_.push(Event{t, seq, id, std::move(fn)});
     pending_ids_.insert(id);
   }
@@ -151,7 +151,7 @@ class TimingWheelEventQueue final : public EventQueue {
   }
 
   void push(SimTime t, std::uint64_t seq, std::uint64_t id,
-            InlineHandler fn) override {
+            InlineHandler&& fn) override {
     EventSlot* s = arena_.acquire();
     s->time = t;
     s->seq = seq;
@@ -248,8 +248,15 @@ class TimingWheelEventQueue final : public EventQueue {
 
   /// Sorted insert into drain_ at a position >= drain_pos_. Events already
   /// consumed (indices < drain_pos_) fired at times <= now or were
-  /// tombstones, so the suffix is the only live ordering domain.
+  /// tombstones, so the suffix is the only live ordering domain. The
+  /// consumed prefix is dropped before the vector would grow, so a long run
+  /// of same-tick events (a zero-time ping-pong) reuses its storage.
   void drain_insert(EventSlot* s) {
+    if (drain_.size() == drain_.capacity() && drain_pos_ > 0) {
+      drain_.erase(drain_.begin(),
+                   drain_.begin() + static_cast<std::ptrdiff_t>(drain_pos_));
+      drain_pos_ = 0;
+    }
     const auto it = std::lower_bound(drain_.begin() + static_cast<std::ptrdiff_t>(drain_pos_),
                                      drain_.end(), s, before);
     drain_.insert(it, s);

@@ -56,7 +56,7 @@ class EventQueue {
   /// events FIFO — the property the determinism contract leans on
   /// (DESIGN.md §8, §12).
   virtual void push(SimTime t, std::uint64_t seq, std::uint64_t id,
-                    InlineHandler fn) = 0;
+                    InlineHandler&& fn) = 0;
 
   /// Exact cancel: true iff `id` is pending and not already cancelled.
   /// Cancelled events stay physically queued (lazily purged on pop), so

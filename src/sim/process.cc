@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <new>
+#include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -126,6 +127,30 @@ void say(const char* s, std::size_t n) {  // async-signal-safe stderr write
   [[maybe_unused]] const ssize_t written = write(STDERR_FILENO, s, n);
 }
 
+/// Mappings of finished processes, taken before mmap is called again. A
+/// plain static, like StackGuard::running: every simulation and all of its
+/// processes run on one OS thread (DESIGN.md §5.1).
+std::vector<char*> free_stacks;
+
+/// A mapping of kMapBytes whose lowest page is the PROT_NONE guard.
+char* take_stack() {
+  if (!free_stacks.empty()) {
+    char* mapping = free_stacks.back();
+    free_stacks.pop_back();
+    return mapping;
+  }
+  void* m = mmap(nullptr, kMapBytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1,
+                 0);
+  if (m == MAP_FAILED) throw std::bad_alloc();
+  char* mapping = static_cast<char*>(m);
+  if (mprotect(mapping, kGuardBytes, PROT_NONE) != 0) {
+    munmap(mapping, kMapBytes);
+    throw std::bad_alloc();
+  }
+  return mapping;
+}
+
 }  // namespace
 
 /// Turns a fault in the running process's guard page into a message naming
@@ -179,15 +204,7 @@ Process::Process(Simulation* sim, std::uint64_t id, std::string name,
                  std::function<void()> body)
     : sim_(sim), id_(id), name_(std::move(name)), body_(std::move(body)) {
   [[maybe_unused]] static const bool guarded = (StackGuard::install(), true);
-  void* m = mmap(nullptr, kMapBytes, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1,
-                 0);
-  if (m == MAP_FAILED) throw std::bad_alloc();
-  mapping_ = static_cast<char*>(m);
-  if (mprotect(mapping_, kGuardBytes, PROT_NONE) != 0) {
-    munmap(mapping_, kMapBytes);
-    throw std::bad_alloc();
-  }
+  mapping_ = take_stack();
   sp_ = initial_frame(mapping_ + kMapBytes, &Process::entry, this);
 #if defined(__SANITIZE_THREAD__)
   tsan_fiber_ = __tsan_create_fiber(0);
@@ -205,13 +222,16 @@ void Process::release_stack() {
   if (mapping_ == nullptr) return;
 #if defined(__SANITIZE_ADDRESS__)
   // Frames the fiber never returned from leave poisoned shadow behind;
-  // clear it before the addresses can be mapped again.
+  // clear it before the next process runs on these addresses.
   ASAN_UNPOISON_MEMORY_REGION(mapping_, kMapBytes);
 #endif
 #if defined(__SANITIZE_THREAD__)
   __tsan_destroy_fiber(tsan_fiber_);
 #endif
-  munmap(mapping_, kMapBytes);
+  // The pages go back to the kernel, so a pooled stack holds no resident
+  // memory; the mapping and its guard page stay for the next process.
+  madvise(mapping_ + kGuardBytes, kStackBytes, MADV_DONTNEED);
+  free_stacks.push_back(mapping_);
   mapping_ = nullptr;
 }
 
@@ -226,7 +246,7 @@ void Process::entry(Process* self) {
   }
   self->finished_ = true;
   // Switch away for good; nullptr lets ASan free this fiber's fake stack.
-  // The scheduler observes finished_ and unmaps the stack.
+  // The scheduler observes finished_ and releases the stack.
   self->switch_out(nullptr);
 }
 

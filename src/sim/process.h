@@ -45,9 +45,7 @@ class Process {
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] bool blocked() const { return blocked_; }
   /// Non-empty label describing what the process is blocked on (diagnostics).
-  [[nodiscard]] const std::string& block_reason() const {
-    return block_reason_;
-  }
+  [[nodiscard]] const char* block_reason() const { return block_reason_; }
 
  private:
   friend class Simulation;
@@ -65,7 +63,7 @@ class Process {
   /// that has not run yet.
   void switch_out(void** fake_stack);
   void switch_in(void* fake_stack);
-  /// Unmaps the stack and retires the sanitizer fiber.
+  /// Returns the stack to the free list and retires the sanitizer fiber.
   void release_stack();
 
   Simulation* sim_;
@@ -89,7 +87,7 @@ class Process {
   bool finished_ = false;
   bool blocked_ = false;       // waiting for an explicit wake()
   std::uint64_t wait_epoch_ = 0;  // bumps on every block; guards stale wakes
-  std::string block_reason_;
+  const char* block_reason_ = "";
   std::exception_ptr error_;
 };
 

@@ -34,7 +34,7 @@ void Resource::acquire() {
     return;
   }
   waiters_.push_back(p);
-  sim_->block_current(name_);
+  sim_->block_current(name_.c_str());
   // Direct handoff: release() transferred the unit to us before waking, so
   // in_use_ already counts this holder. Nothing to re-check.
   SV_DCHECK(in_use_ > 0 && in_use_ <= capacity_,

@@ -7,10 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "common/units.h"
+#include "sim/ring_fifo.h"
 #include "sim/simulation.h"
 
 namespace sv::sim {
@@ -46,7 +46,7 @@ class Resource {
   std::int64_t capacity_;
   std::string name_;
   std::int64_t in_use_ = 0;
-  std::deque<Process*> waiters_;
+  RingFifo<Process*> waiters_;
 
   // Busy-time accounting.
   mutable SimTime last_change_ = SimTime::zero();

@@ -72,7 +72,7 @@ void Simulation::delay(SimTime d) {
   check_current_killed();
 }
 
-void Simulation::block_current(const std::string& reason) {
+void Simulation::block_current(const char* reason) {
   Process* p = current_;
   if (p == nullptr) {
     throw std::logic_error("Simulation::block_current outside a process");

@@ -51,11 +51,13 @@ class Simulation {
     }
   }
 
-  /// Schedules a plain (non-blocking) handler.
-  std::uint64_t schedule(SimTime delay, std::function<void()> fn) {
+  /// Schedules a plain (non-blocking) handler. The callable goes straight
+  /// into the event's inline buffer, so an oversized capture shows up in
+  /// `sim.arena_handler_heap` (DESIGN.md §12).
+  std::uint64_t schedule(SimTime delay, Engine::Handler&& fn) {
     return engine_.schedule(delay, std::move(fn));
   }
-  std::uint64_t schedule_at(SimTime t, std::function<void()> fn) {
+  std::uint64_t schedule_at(SimTime t, Engine::Handler&& fn) {
     return engine_.schedule_at(t, std::move(fn));
   }
   bool cancel(std::uint64_t event_id) { return engine_.cancel(event_id); }
@@ -89,8 +91,9 @@ class Simulation {
   /// Advances this process by `d` of simulated time.
   void delay(SimTime d);
   /// Blocks this process until some other party calls wake() on it.
-  /// `reason` shows up in diagnostics for deadlocked runs.
-  void block_current(const std::string& reason);
+  /// `reason` shows up in diagnostics for deadlocked runs; it is kept by
+  /// pointer, so it must outlive the block (primitives pass their name).
+  void block_current(const char* reason);
   /// Wakes a process blocked in block_current(); no-op if not blocked.
   /// The process resumes via an event at the current simulated time.
   void wake(Process& p);

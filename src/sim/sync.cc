@@ -7,8 +7,8 @@
 namespace sv::sim {
 
 void WaitQueue::scrub() {
-  while (!entries_.empty() && entries_.front()->done) {
-    entries_.pop_front();
+  while (!waiters_.empty() && waiters_.front().done()) {
+    waiters_.pop_front();
   }
 }
 
@@ -17,10 +17,8 @@ void WaitQueue::wait() {
   if (p == nullptr) {
     throw std::logic_error("WaitQueue[" + name_ + "]::wait outside process");
   }
-  auto entry = std::make_shared<Entry>();
-  entry->proc = p;
-  entries_.push_back(std::move(entry));
-  sim_->block_current(name_);
+  waiters_.push_back(Waiter{p, nullptr});
+  sim_->block_current(name_.c_str());
 }
 
 bool WaitQueue::wait_for(SimTime timeout) {
@@ -29,32 +27,34 @@ bool WaitQueue::wait_for(SimTime timeout) {
     throw std::logic_error("WaitQueue[" + name_ +
                            "]::wait_for outside process");
   }
-  auto entry = std::make_shared<Entry>();
-  entry->proc = p;
-  entries_.push_back(entry);
-  // The timeout event deliberately captures only the shared entry and the
-  // simulation — never `this` — so it stays safe even if the WaitQueue is
-  // destroyed before the event fires. Timed-out entries are lazily scrubbed.
-  sim_->schedule(timeout, [sim = sim_, entry] {
-    if (entry->done) return;
-    entry->done = true;
-    entry->notified = false;
-    sim->wake(*entry->proc);
+  auto timed = std::make_shared<Timed>();
+  waiters_.push_back(Waiter{p, timed});
+  // The timeout event deliberately captures only the shared record, the
+  // process and the simulation — never `this` — so it stays safe even if
+  // the WaitQueue is destroyed before the event fires. Timed-out waiters
+  // are lazily scrubbed.
+  sim_->schedule(timeout, [sim = sim_, p, timed] {
+    if (timed->done) return;
+    timed->done = true;
+    timed->notified = false;
+    sim->wake(*p);
   });
-  sim_->block_current(name_);
-  return entry->notified;
+  sim_->block_current(name_.c_str());
+  return timed->notified;
 }
 
 bool WaitQueue::notify_one() {
   scrub();
-  if (entries_.empty()) return false;
-  auto entry = std::move(entries_.front());
-  entries_.pop_front();
-  SV_DCHECK(entry->proc != nullptr && !entry->done,
+  if (waiters_.empty()) return false;
+  Waiter w = std::move(waiters_.front());
+  waiters_.pop_front();
+  SV_DCHECK(w.proc != nullptr && !w.done(),
             "WaitQueue[" + name_ + "]: scrubbed entry at queue head");
-  entry->done = true;
-  entry->notified = true;
-  sim_->wake(*entry->proc);
+  if (w.timed) {
+    w.timed->done = true;
+    w.timed->notified = true;
+  }
+  sim_->wake(*w.proc);
   return true;
 }
 
@@ -65,8 +65,8 @@ void WaitQueue::notify_all() {
 
 std::size_t WaitQueue::waiter_count() const {
   std::size_t n = 0;
-  for (const auto& e : entries_) {
-    if (!e->done) ++n;
+  for (std::size_t i = 0; i < waiters_.size(); ++i) {
+    if (!waiters_[i].done()) ++n;
   }
   return n;
 }

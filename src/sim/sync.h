@@ -6,13 +6,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "common/result.h"
+#include "sim/ring_fifo.h"
 #include "sim/simulation.h"
 
 namespace sv::sim {
@@ -39,17 +39,24 @@ class WaitQueue {
   [[nodiscard]] bool has_waiters() const { return waiter_count() > 0; }
 
  private:
-  struct Entry {
-    Process* proc = nullptr;
+  /// A wait_for() waiter's outcome, co-owned by its timeout event.
+  struct Timed {
     bool notified = false;
     bool done = false;  // true once notified or timed out
+  };
+  /// A queued waiter: the process itself for wait(), which allocates
+  /// nothing; wait_for() adds the record its timeout event shares.
+  struct Waiter {
+    Process* proc = nullptr;
+    std::shared_ptr<Timed> timed;
+    [[nodiscard]] bool done() const { return timed && timed->done; }
   };
 
   void scrub();
 
   Simulation* sim_;
   std::string name_;
-  std::deque<std::shared_ptr<Entry>> entries_;
+  RingFifo<Waiter> waiters_;
 };
 
 /// Counting semaphore with FIFO handoff.
@@ -165,7 +172,7 @@ class Channel {
   Simulation* sim_;
   std::size_t capacity_;
   std::string name_;
-  std::deque<T> items_;
+  RingFifo<T> items_;
   bool closed_ = false;
   WaitQueue senders_;
   WaitQueue receivers_;

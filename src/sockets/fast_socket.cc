@@ -41,7 +41,7 @@ void FastSocket::send(net::Message m) {
   bool release = false;
   if (transport_copies(transport_)) {
     // TCP's copies are structural; the policy does not apply.
-    note_copy("tcp.user_to_kernel", bytes);
+    note_copy(CopyStage::kUserToKernel, bytes);
   } else {
     release = policy_acquire(buffer, bytes);
   }
@@ -55,7 +55,9 @@ std::optional<net::Message> FastSocket::recv() {
   const SimTime start = obs_now();
   auto m = in_->recv();
   if (m) {
-    if (transport_copies(transport_)) note_copy("tcp.kernel_to_user", m->bytes);
+    if (transport_copies(transport_)) {
+      note_copy(CopyStage::kKernelToUser, m->bytes);
+    }
     note_received(m->bytes);
     obs_span(start, "recv", m->bytes);
   }
@@ -65,7 +67,9 @@ std::optional<net::Message> FastSocket::recv() {
 std::optional<net::Message> FastSocket::try_recv() {
   auto m = in_->try_recv();
   if (m) {
-    if (transport_copies(transport_)) note_copy("tcp.kernel_to_user", m->bytes);
+    if (transport_copies(transport_)) {
+      note_copy(CopyStage::kKernelToUser, m->bytes);
+    }
     note_received(m->bytes);
   }
   return m;
@@ -76,7 +80,7 @@ Result<std::optional<net::Message>> FastSocket::recv_for(SimTime timeout) {
   auto r = in_->recv_for(timeout);
   if (r.ok() && r.value()) {
     if (transport_copies(transport_)) {
-      note_copy("tcp.kernel_to_user", r.value()->bytes);
+      note_copy(CopyStage::kKernelToUser, r.value()->bytes);
     }
     note_received(r.value()->bytes);
     obs_span(start, "recv", r.value()->bytes);
@@ -97,7 +101,9 @@ Result<void> FastSocket::send_for(net::Message m, SimTime timeout) {
   auto r = out_->send_for(std::move(m), timeout);
   if (release) policy_release(buffer, bytes);
   if (r.ok()) {
-    if (transport_copies(transport_)) note_copy("tcp.user_to_kernel", bytes);
+    if (transport_copies(transport_)) {
+      note_copy(CopyStage::kUserToKernel, bytes);
+    }
     note_sent(bytes);
     obs_span(start, "send", bytes);
   } else {

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "mem/ledger.h"
 #include "sim/simulation.h"
 
 namespace sv::sockets {
@@ -74,9 +73,13 @@ void SvSocket::note_timeout(std::string_view op) {
   }
 }
 
-void SvSocket::note_copy(std::string_view stage, std::uint64_t bytes) {
+void SvSocket::note_copy(CopyStage stage, std::uint64_t bytes) {
   if (sim_ == nullptr) return;
-  mem::charge_copy(hub_, sim_->now(), node_id_, stage, bytes);
+  static constexpr std::array<std::string_view, 2> kStageNames = {
+      "tcp.user_to_kernel", "tcp.kernel_to_user"};
+  const auto i = static_cast<std::size_t>(stage);
+  if (!copy_counters_[i]) copy_counters_[i].emplace(hub_, kStageNames[i]);
+  copy_counters_[i]->charge(sim_->now(), node_id_, bytes);
   if (copy_scale_pct_ > 0) {
     // Scaled copy time (ablation): integer ns arithmetic keeps the charge
     // bit-reproducible (no float time; svlint SV006).

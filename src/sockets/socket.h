@@ -17,6 +17,7 @@
 // Tests assert the two levels agree on message timing.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -25,6 +26,7 @@
 
 #include "common/result.h"
 #include "mem/copy_policy.h"
+#include "mem/ledger.h"
 #include "net/calibration.h"
 #include "net/fabric.h"
 #include "obs/hub.h"
@@ -118,13 +120,16 @@ class SvSocket {
   /// and drops a trace instant naming the stall reason (`op`, e.g.
   /// "timeout.credit_stall").
   void note_timeout(std::string_view op);
+  /// Kernel TCP's two structural copies, ledger stages
+  /// "tcp.user_to_kernel" and "tcp.kernel_to_user".
+  enum class CopyStage { kUserToKernel, kKernelToUser };
   /// Records one modeled payload copy (mem/ledger.h): `mem.copies`/
-  /// `mem.copy_bytes` counters plus a trace instant at `stage` (e.g.
-  /// "tcp.user_to_kernel"). Accounting only — unless a copy-cost ablation
-  /// scale is installed (set_copy_ablation), in which case the scaled copy
-  /// time is additionally charged to the calling process. Zero-copy
-  /// transports never call this; that absence IS their model.
-  void note_copy(std::string_view stage, std::uint64_t bytes);
+  /// `mem.copy_bytes` counters plus a trace instant at `stage`. Accounting
+  /// only — unless a copy-cost ablation scale is installed
+  /// (set_copy_ablation), in which case the scaled copy time is
+  /// additionally charged to the calling process. Zero-copy transports
+  /// never call this; that absence IS their model.
+  void note_copy(CopyStage stage, std::uint64_t bytes);
   /// Records span [start, now] as `socket.<label>.<op>` on the local node.
   void obs_span(SimTime start, std::string_view op, std::uint64_t bytes);
   [[nodiscard]] SimTime obs_now() const;
@@ -147,6 +152,9 @@ class SvSocket {
   PerByteCost copy_per_byte_{};
   int copy_scale_pct_ = 0;
   std::shared_ptr<mem::CopyPolicy> policy_;
+  /// Each CopyStage's counters, bound on its first copy: the registry
+  /// gains them at the same moment an unbound charge would create them.
+  std::array<std::optional<mem::CopyCounters>, 2> copy_counters_;
   obs::Counter* c_msgs_sent_ = nullptr;
   obs::Counter* c_bytes_sent_ = nullptr;
   obs::Counter* c_msgs_recv_ = nullptr;

@@ -71,7 +71,7 @@ void DetailedTcpSocket::send(net::Message m) {
   outgoing_->meta_available.notify_all();
   // Handing user bytes to the stack models the write()-side user->kernel
   // copy; its time is already in the calibrated per-byte send cost.
-  note_copy("tcp.user_to_kernel", bytes);
+  note_copy(CopyStage::kUserToKernel, bytes);
   conn_->send_payload(std::move(frame));
   note_sent(bytes);
   obs_span(start, "send", bytes);
@@ -90,7 +90,7 @@ std::optional<net::Message> DetailedTcpSocket::recv() {
   incoming_->metas.pop_front();
   const mem::Payload frame = conn_->recv_exact_payload(kHeaderBytes + m.bytes);
   attach_body(m, frame, kHeaderBytes);
-  note_copy("tcp.kernel_to_user", m.bytes);
+  note_copy(CopyStage::kKernelToUser, m.bytes);
   m.delivered_at = conn_->stack().sim().now();
   note_received(m.bytes);
   obs_span(start, "recv", m.bytes);
@@ -131,7 +131,7 @@ Result<std::optional<net::Message>> DetailedTcpSocket::recv_for(
   net::Message m = std::move(incoming_->metas.front());
   incoming_->metas.pop_front();
   attach_body(m, drained.value(), kHeaderBytes);
-  note_copy("tcp.kernel_to_user", m.bytes);
+  note_copy(CopyStage::kKernelToUser, m.bytes);
   m.delivered_at = conn_->stack().sim().now();
   note_received(m.bytes);
   obs_span(start, "recv", m.bytes);
@@ -151,7 +151,7 @@ Result<void> DetailedTcpSocket::send_for(net::Message m, SimTime timeout) {
   outgoing_->meta_available.notify_all();
   auto r = conn_->send_payload_for(std::move(frame), timeout);
   if (r.ok()) {
-    note_copy("tcp.user_to_kernel", bytes);
+    note_copy(CopyStage::kUserToKernel, bytes);
     note_sent(bytes);
     obs_span(start, "send", bytes);
   } else {

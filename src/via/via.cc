@@ -126,11 +126,15 @@ void Nic::tx_loop() {
     Vi* vi = work->vi;
     Vi* peer = vi->peer_;
     Nic* peer_nic = peer->nic_;
-    // DMA out of host memory and across the wire into the peer NIC.
+    // DMA out of host memory and across the wire into the peer NIC. The
+    // propagation delay is fixed per NIC, so arrivals fire in push order
+    // and each takes the oldest work in flight.
     peer_nic->node_->link_in().use(model_.wire_time(work->desc.length));
-    auto shared = std::make_shared<TxWork>(std::move(*work));
-    sim_->schedule(profile_.propagation, [peer_nic, shared] {
-      peer_nic->rx_queue_.send(RxWork{shared->vi, std::move(shared->desc)});
+    propagating_.push_back(std::move(*work));
+    sim_->schedule(profile_.propagation, [this] {
+      TxWork& w = propagating_.front();
+      w.vi->peer_->nic_->rx_queue_.send(RxWork{w.vi, std::move(w.desc)});
+      propagating_.pop_front();
     });
   }
 }

@@ -27,6 +27,7 @@
 #include "net/calibration.h"
 #include "net/cluster.h"
 #include "net/cost_model.h"
+#include "sim/ring_fifo.h"
 #include "sim/sync.h"
 
 namespace sv::via {
@@ -209,6 +210,8 @@ class Nic {
   std::vector<std::shared_ptr<MemoryRegion>> regions_;
   std::vector<std::shared_ptr<Vi>> vis_;
   sim::Channel<TxWork> tx_queue_;
+  /// Work crossing the propagation delay to a peer NIC, oldest first.
+  sim::RingFifo<TxWork> propagating_;
   sim::Channel<RxWork> rx_queue_;
   std::uint64_t sends_completed_ = 0;
   std::uint64_t recv_misses_ = 0;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "common/units.h"
 #include "obs/metrics.h"
 #include "sim/engine.h"
+#include "sim/simulation.h"
 
 namespace sv::sim {
 namespace {
@@ -57,7 +59,7 @@ TEST(EventArenaTest, DoubleReleaseIsCaughtInDebug) {
   EventArena arena(nullptr);
   EventSlot* s = arena.acquire();
   arena.release(s);
-  EXPECT_THROW(arena.release(s), common::CheckFailure);
+  EXPECT_THROW(arena.release(s), CheckFailure);
 #else
   GTEST_SKIP() << "SV_DCHECK compiled out";
 #endif
@@ -125,6 +127,22 @@ TEST(InlineHandlerTest, OversizedCallablesSpillToHeapAndStillRun) {
   InlineHandler moved = std::move(h);
   moved();
   EXPECT_EQ(total, 7);
+}
+
+TEST(EventArenaTest, SimulationScheduleCountsOversizedHandlers) {
+  // Simulation::schedule hands the callable itself to the event slot, so a
+  // capture past the inline buffer spills where sim.arena_handler_heap
+  // sees it instead of hiding inside a std::function.
+  Simulation s;
+  std::array<std::uint64_t, 7> pad{};
+  pad[6] = 7;
+  std::uint64_t seen = 0;
+  auto fn = [pad, &seen] { seen = pad[6]; };
+  static_assert(sizeof(fn) == 64);
+  s.schedule(SimTime::microseconds(1), std::move(fn));
+  s.run();
+  EXPECT_EQ(seen, 7u);
+  EXPECT_EQ(s.obs().registry.counter_value("sim.arena_handler_heap"), 1u);
 }
 
 TEST(EventArenaTest, SteadyStateSchedulingIsZeroAlloc) {

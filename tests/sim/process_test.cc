@@ -1,7 +1,12 @@
 #include "sim/simulation.h"
 
+#include <sys/mman.h>
+
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -246,6 +251,44 @@ TEST(ProcessTest, ProcessCanRunANestedSimulation) {
   EXPECT_EQ(log, (std::vector<std::string>{"inner@7000", "outer@6000"}));
 }
 
+/// True when two frame addresses taken near the tops of fiber stacks lie on
+/// the same stack: frames on one stack sit far less than half a stack apart,
+/// frames on two distinct mappings at least a whole stack apart.
+bool same_stack(const void* a, const void* b) {
+  const auto gap = static_cast<std::int64_t>(
+      reinterpret_cast<std::uintptr_t>(a) -
+      reinterpret_cast<std::uintptr_t>(b));
+  return std::abs(gap) < static_cast<std::int64_t>(Process::kStackBytes / 2);
+}
+
+TEST(ProcessTest, FinishedProcessesRecycleTheirStacks) {
+  // A finished process returns its mapping to a free list, and the next
+  // process takes it instead of mapping a new stack, so 10,000 processes in
+  // a row all run on the first one's stack. A decoy mapping of the same
+  // size, held from the first cycle on, would take the address that an
+  // unmapped stack frees; only the free list can hand that stack back.
+  Simulation s;
+  const void* first = nullptr;
+  void* decoy = nullptr;
+  int recycled = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const void* frame = nullptr;
+    s.spawn("p", [&] { frame = __builtin_frame_address(0); });
+    s.run();
+    if (i == 0) {
+      first = frame;
+      decoy = mmap(nullptr, Process::kStackBytes + 4096, PROT_NONE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+      ASSERT_NE(decoy, MAP_FAILED);
+    } else if (same_stack(frame, first)) {
+      ++recycled;
+    }
+  }
+  munmap(decoy, Process::kStackBytes + 4096);
+  EXPECT_EQ(recycled, 9'999);
+  EXPECT_EQ(s.live_process_count(), 0u);
+}
+
 // Recurses `depth` frames of 1 KiB each, which the optimiser cannot drop.
 std::size_t recurse(std::size_t depth) {
   volatile char frame[1024];
@@ -261,6 +304,27 @@ TEST(ProcessDeathTest, StackOverflowNamesTheProcess) {
       {
         Simulation s;
         s.spawn("runaway", [] { (void)recurse(std::size_t{1} << 30); });
+        s.run();
+      },
+      "stack overflow in process 'runaway'");
+}
+
+TEST(ProcessDeathTest, StackOverflowOnARecycledStackNamesTheProcess) {
+  // The guard page stays PROT_NONE while a stack waits on the free list, so
+  // the next process to take it still dies loudly, under its own name.
+  EXPECT_DEATH(
+      {
+        Simulation s;
+        const void* first = nullptr;
+        s.spawn("first", [&] { first = __builtin_frame_address(0); });
+        s.run();
+        s.spawn("runaway", [&] {
+          if (!same_stack(__builtin_frame_address(0), first)) {
+            std::fputs("the stack was not recycled\n", stderr);
+            std::abort();
+          }
+          (void)recurse(std::size_t{1} << 30);
+        });
         s.run();
       },
       "stack overflow in process 'runaway'");

@@ -277,5 +277,33 @@ INSTANTIATE_TEST_SUITE_P(BothTransports, FidelityAgreementTest,
                                net::transport_name(param_info.param));
                          });
 
+TEST(SocketHandlerHeapTest, FastPingPongSchedulesEveryHandlerInline) {
+  // A Figure 4-style fast run, SocketVIA and kernel TCP: every event
+  // handler it schedules, propagation included, fits the inline buffer.
+  sim::Simulation s;
+  net::Cluster cluster(&s, 4);
+  SocketFactory factory(&s, &cluster, Fidelity::kFast);
+  for (const Transport tr : {Transport::kSocketVia, Transport::kKernelTcp}) {
+    // Each transport on its own pair of nodes.
+    const std::size_t client = tr == Transport::kSocketVia ? 0 : 2;
+    s.spawn("app", [&, tr, client] {
+      auto [a, b] = factory.connect(client, client + 1, tr);
+      s.spawn("pong", [b = std::move(b)]() mutable {
+        while (auto m = b->recv()) b->send(*m);
+      });
+      for (std::uint64_t bytes : {4ULL, 1024ULL, 16'384ULL, 65'536ULL}) {
+        for (int i = 0; i < 10; ++i) {
+          a->send(net::Message{.bytes = bytes});
+          ASSERT_TRUE(a->recv().has_value());
+        }
+      }
+      a->close_send();
+    });
+  }
+  s.run();
+  EXPECT_GT(s.obs().registry.counter_value("socket.messages_sent"), 0u);
+  EXPECT_EQ(s.obs().registry.counter_value("sim.arena_handler_heap"), 0u);
+}
+
 }  // namespace
 }  // namespace sv::sockets
