@@ -12,7 +12,7 @@ sockets::SocketPair LocalSocket::make_pair(sim::Simulation* sim,
   return {std::move(a), std::move(b)};
 }
 
-void LocalSocket::send(net::Message m) {
+sv::Result<void> LocalSocket::send_for(net::Message m, SimTime /*timeout*/) {
   const std::uint64_t bytes = m.bytes;
   const SimTime start = obs_now();
   m.sent_at = sim_->now();
@@ -21,44 +21,13 @@ void LocalSocket::send(net::Message m) {
   out_->send(std::move(m));
   note_sent(bytes);
   obs_span(start, "send", bytes);
-}
-
-std::optional<net::Message> LocalSocket::recv() {
-  const SimTime start = obs_now();
-  auto m = in_->recv();
-  if (m) {
-    note_received(m->bytes);
-    obs_span(start, "recv", m->bytes);
-  }
-  return m;
-}
-
-std::optional<net::Message> LocalSocket::try_recv() {
-  auto m = in_->try_recv();
-  if (m) {
-    note_received(m->bytes);
-  }
-  return m;
+  return sv::Result<void>::success();
 }
 
 sv::Result<std::optional<net::Message>> LocalSocket::recv_for(
     SimTime timeout) {
   const SimTime start = obs_now();
-  auto r = in_->recv_for(timeout);
-  if (r.ok() && r.value()) {
-    note_received(r.value()->bytes);
-    obs_span(start, "recv", r.value()->bytes);
-  } else if (!r.ok()) {
-    note_timeout("timeout.recv");
-  }
-  return r;
-}
-
-sv::Result<void> LocalSocket::send_for(net::Message m, SimTime /*timeout*/) {
-  // The hand-off queue is unbounded: a same-host send never blocks on the
-  // peer, so the timeout cannot trip.
-  send(std::move(m));
-  return sv::Result<void>::success();
+  return finish_recv(start, in_->recv_for(timeout));
 }
 
 void LocalSocket::close_send() {

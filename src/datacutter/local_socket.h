@@ -15,19 +15,11 @@ class LocalSocket final : public sockets::SvSocket {
   static sockets::SocketPair make_pair(sim::Simulation* sim, net::Node* node,
                                        const std::string& name);
 
-  void send(net::Message m) override;
-  std::optional<net::Message> recv() override;
-  std::optional<net::Message> try_recv() override;
-  [[nodiscard]] sv::Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
+  /// The hand-off queue is unbounded: a same-host send never blocks on
+  /// the peer, so its timeout cannot trip.
   [[nodiscard]] sv::Result<void> send_for(net::Message m, SimTime timeout) override;
+  [[nodiscard]] sv::Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
   void close_send() override;
-
-  [[nodiscard]] net::Transport transport() const override {
-    // Local hand-off; reported as SocketVIA for uniformity but costs only
-    // the hand-off overhead.
-    return net::Transport::kSocketVia;
-  }
-  [[nodiscard]] net::Node& local_node() const override { return *node_; }
 
   /// Per-message hand-off cost between threads on one host.
   static constexpr SimTime kHandoffCost = SimTime::microseconds(2);
@@ -37,12 +29,11 @@ class LocalSocket final : public sockets::SvSocket {
 
   LocalSocket(sim::Simulation* sim, net::Node* node,
               std::shared_ptr<Queue> out, std::shared_ptr<Queue> in)
-      : sim_(sim), node_(node), out_(std::move(out)), in_(std::move(in)) {
-    init_obs(sim_, node_->id(), node_->id(), "local");
+      : sim_(sim), out_(std::move(out)), in_(std::move(in)) {
+    init_obs(sim_, node->id(), node->id(), "local");
   }
 
   sim::Simulation* sim_;
-  net::Node* node_;
   std::shared_ptr<Queue> out_;
   std::shared_ptr<Queue> in_;
 };

@@ -86,8 +86,7 @@ Result<void> Pipe::send_for(Message m, SimTime timeout) {
   if (st.closed) {
     throw std::logic_error("Pipe[" + st.name + "]::send after close");
   }
-  const bool timed = timeout > SimTime::zero();
-  const SimTime deadline = st.sim->now() + timeout;
+  const SimTime deadline = st.sim->deadline_after(timeout);
   m.seq = st.next_seq++;
   m.sent_at = st.sim->now();
   st.c_msgs_sent->inc();
@@ -103,18 +102,12 @@ Result<void> Pipe::send_for(Message m, SimTime timeout) {
     const bool last = remaining == 0;
     // Flow control: block until this frame fits in the window (a frame is
     // always admitted when nothing is in flight, guaranteeing progress).
-    while (st.in_flight_bytes > 0 &&
-           st.in_flight_bytes + flen > st.profile.window_bytes) {
-      if (!timed) {
-        st.window_waiters.wait();
-        continue;
-      }
-      const SimTime left = deadline - st.sim->now();
-      if (left > SimTime::zero() && st.window_waiters.wait_for(left)) {
-        continue;
-      }
-      if (st.in_flight_bytes > 0 &&
-          st.in_flight_bytes + flen > st.profile.window_bytes) {
+    const auto window_closed = [&] {
+      return st.in_flight_bytes > 0 &&
+             st.in_flight_bytes + flen > st.profile.window_bytes;
+    };
+    while (window_closed()) {
+      if (!st.window_waiters.wait_until(deadline) && window_closed()) {
         return Error::timeout("Pipe[" + st.name +
                               "]: send timed out with the flow-control "
                               "window closed (receiver stalled?)");
@@ -152,8 +145,6 @@ std::optional<Message> Pipe::recv() { return st_->delivered.recv(); }
 Result<std::optional<Message>> Pipe::recv_for(SimTime timeout) {
   return st_->delivered.recv_for(timeout);
 }
-
-std::optional<Message> Pipe::try_recv() { return st_->delivered.try_recv(); }
 
 std::size_t Pipe::pending() const { return st_->delivered.size(); }
 

@@ -11,7 +11,9 @@
 // concurrent connections contend realistically (the mechanism behind the
 // paper's application-level results). Flow control returns window credit
 // when the receiver-side protocol stage finishes a frame, modeling the TCP
-// advertised window / SocketVIA credit scheme.
+// advertised window / SocketVIA credit scheme. Sending has one body,
+// send_for(), whose window wait takes a deadline; send() is send_for()
+// with no deadline.
 //
 // Lifetime: the internal stage processes co-own the pipe state, so a Pipe
 // handle may be destroyed at any simulated time; in-flight work finishes
@@ -77,10 +79,11 @@ class Pipe {
   /// paper's applications use).
   void send(Message m);
 
-  /// Timed send: like send(), but a wait on the flow-control window gives
-  /// up after `timeout` (<= 0 = wait forever) with ErrorCode::kTimeout.
-  /// Frames already admitted stay in flight, so a timed-out pipe must be
-  /// treated as failed by the caller.
+  /// The one send body: like send(), but the wait on the flow-control
+  /// window gives up after `timeout` (<= 0 = wait forever; send() is
+  /// send_for with no deadline) with ErrorCode::kTimeout. Frames already
+  /// admitted stay in flight, so a timed-out pipe must be treated as
+  /// failed by the caller.
   [[nodiscard]] Result<void> send_for(Message m, SimTime timeout);
 
   /// Blocking receive; nullopt after close() once drained.
@@ -88,8 +91,6 @@ class Pipe {
   /// Timed receive; ok(nullopt) means closed-and-drained, kTimeout means
   /// nothing was deliverable within `timeout` (<= 0 = wait forever).
   [[nodiscard]] Result<std::optional<Message>> recv_for(SimTime timeout);
-  /// Non-blocking receive.
-  std::optional<Message> try_recv();
   /// Number of fully-delivered messages waiting in the receive queue.
   [[nodiscard]] std::size_t pending() const;
 

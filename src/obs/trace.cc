@@ -6,7 +6,6 @@
 namespace sv::obs {
 
 void Tracer::enable(std::size_t capacity) {
-#if SV_TRACE_ENABLED
   enabled_ = true;
   if (capacity == 0) capacity = 1;
   if (capacity != capacity_) {
@@ -15,9 +14,6 @@ void Tracer::enable(std::size_t capacity) {
     if (events_.size() > capacity || next_ != 0) clear();
     capacity_ = capacity;
   }
-#else
-  (void)capacity;
-#endif
 }
 
 void Tracer::disable() { enabled_ = false; }

@@ -10,9 +10,7 @@
 // Cost model: recording is passive. The tracer never schedules events,
 // never reads wall clocks, and never perturbs simulated time, so enabling
 // it cannot change sim results or Engine::trace_digest(). When disabled at
-// runtime each call is one branch; when compiled out (SV_TRACE=OFF, which
-// defines SV_TRACE_ENABLED=0) the inline bodies are empty and the
-// optimiser erases call sites entirely.
+// runtime each call is one branch.
 //
 // Event names are interned as "category.name" strings; the ring buffer
 // holds fixed-size PODs, and once full the oldest events are overwritten
@@ -28,10 +26,6 @@
 
 #include "common/units.h"
 
-#ifndef SV_TRACE_ENABLED
-#define SV_TRACE_ENABLED 1
-#endif
-
 namespace sv::obs {
 
 class Tracer {
@@ -42,34 +36,20 @@ class Tracer {
   /// previously recorded events' eviction budget, keeps existing ones).
   void enable(std::size_t capacity = kDefaultCapacity);
   void disable();
-  [[nodiscard]] bool enabled() const {
-#if SV_TRACE_ENABLED
-    return enabled_;
-#else
-    return false;
-#endif
-  }
+  [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Records a completed span [start, end] attributed to `node`.
   void span(SimTime start, SimTime end, int node, std::string_view category,
             std::string_view name, std::uint64_t arg = 0) {
-#if SV_TRACE_ENABLED
     if (enabled_) record(start, end - start, node, category, name,
                          /*instant=*/false, arg);
-#else
-    (void)start, (void)end, (void)node, (void)category, (void)name, (void)arg;
-#endif
   }
 
   /// Records a point event at `ts` attributed to `node`.
   void instant(SimTime ts, int node, std::string_view category,
                std::string_view name, std::uint64_t arg = 0) {
-#if SV_TRACE_ENABLED
     if (enabled_) record(ts, SimTime::zero(), node, category, name,
                          /*instant=*/true, arg);
-#else
-    (void)ts, (void)node, (void)category, (void)name, (void)arg;
-#endif
   }
 
   /// Events currently held in the ring.

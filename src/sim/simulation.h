@@ -63,6 +63,11 @@ class Simulation {
   bool cancel(std::uint64_t event_id) { return engine_.cancel(event_id); }
 
   [[nodiscard]] SimTime now() const { return engine_.now(); }
+  /// The deadline of a blocking operation given `timeout` from now: a
+  /// timeout <= 0 means wait forever, which is SimTime::max().
+  [[nodiscard]] SimTime deadline_after(SimTime timeout) const {
+    return timeout <= SimTime::zero() ? SimTime::max() : now() + timeout;
+  }
   [[nodiscard]] Engine& engine() { return engine_; }
   /// Observability bundle (tracer + metrics registry); see DESIGN.md §9.
   [[nodiscard]] obs::Hub& obs() { return engine_.obs(); }

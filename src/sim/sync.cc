@@ -21,19 +21,24 @@ void WaitQueue::wait() {
   sim_->block_current(name_.c_str());
 }
 
-bool WaitQueue::wait_for(SimTime timeout) {
+bool WaitQueue::wait_until(SimTime deadline) {
+  if (deadline == SimTime::max()) {
+    wait();
+    return true;
+  }
   Process* p = sim_->current();
   if (p == nullptr) {
     throw std::logic_error("WaitQueue[" + name_ +
-                           "]::wait_for outside process");
+                           "]::wait_until outside process");
   }
+  if (deadline <= sim_->now()) return false;
   auto timed = std::make_shared<Timed>();
   waiters_.push_back(Waiter{p, timed});
   // The timeout event deliberately captures only the shared record, the
   // process and the simulation — never `this` — so it stays safe even if
   // the WaitQueue is destroyed before the event fires. Timed-out waiters
   // are lazily scrubbed.
-  sim_->schedule(timeout, [sim = sim_, p, timed] {
+  sim_->schedule_at(deadline, [sim = sim_, p, timed] {
     if (timed->done) return;
     timed->done = true;
     timed->notified = false;

@@ -26,9 +26,12 @@ class WaitQueue {
 
   /// Blocks the calling process until notified.
   void wait();
-  /// Blocks until notified or until `timeout` elapses.
-  /// Returns true if notified, false on timeout.
-  bool wait_for(SimTime timeout);
+  /// Blocks until notified or until simulated time reaches `deadline`.
+  /// Returns true if notified, false on timeout; a deadline already
+  /// reached returns false without blocking. SimTime::max() is wait(),
+  /// which allocates nothing; a finite deadline schedules one timeout
+  /// event.
+  bool wait_until(SimTime deadline);
 
   /// Wakes the oldest waiter; returns false if none.
   bool notify_one();
@@ -39,13 +42,13 @@ class WaitQueue {
   [[nodiscard]] bool has_waiters() const { return waiter_count() > 0; }
 
  private:
-  /// A wait_for() waiter's outcome, co-owned by its timeout event.
+  /// A timed waiter's outcome, co-owned by its timeout event.
   struct Timed {
     bool notified = false;
     bool done = false;  // true once notified or timed out
   };
   /// A queued waiter: the process itself for wait(), which allocates
-  /// nothing; wait_for() adds the record its timeout event shares.
+  /// nothing; a timed wait adds the record its timeout event shares.
   struct Waiter {
     Process* proc = nullptr;
     std::shared_ptr<Timed> timed;
@@ -133,9 +136,7 @@ class Channel {
     if (timeout <= SimTime::zero()) return recv();
     const SimTime deadline = sim_->now() + timeout;
     while (items_.empty() && !closed_) {
-      const SimTime remaining = deadline - sim_->now();
-      if (remaining <= SimTime::zero() || !receivers_.wait_for(remaining)) {
-        if (!items_.empty() || closed_) break;  // raced with a late arrival
+      if (!receivers_.wait_until(deadline) && items_.empty() && !closed_) {
         return Error::timeout("Channel[" + name_ + "]: recv timed out after " +
                               timeout.to_string());
       }

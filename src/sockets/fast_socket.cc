@@ -29,15 +29,16 @@ FastSocket::FastSocket(sim::Simulation* sim, net::Transport transport,
                        net::Node* node, net::Node* peer,
                        std::shared_ptr<net::Pipe> out,
                        std::shared_ptr<net::Pipe> in)
-    : transport_(transport), node_(node), out_(std::move(out)),
-      in_(std::move(in)) {
+    : transport_(transport), out_(std::move(out)), in_(std::move(in)) {
   init_obs(sim, node->id(), peer->id(), "fast");
 }
 
-void FastSocket::send(net::Message m) {
+Result<void> FastSocket::send_for(net::Message m, SimTime timeout) {
   const std::uint64_t bytes = m.bytes;
   const std::uint64_t buffer = m.buffer;
   const SimTime start = obs_now();
+  // Copy and policy work happen before the transport accepts the message:
+  // a timed-out message has still paid for its copy or its pin.
   bool release = false;
   if (transport_copies(transport_)) {
     // TCP's copies are structural; the policy does not apply.
@@ -45,71 +46,24 @@ void FastSocket::send(net::Message m) {
   } else {
     release = policy_acquire(buffer, bytes);
   }
-  out_->send(std::move(m));
+  auto r = out_->send_for(std::move(m), timeout);
   if (release) policy_release(buffer, bytes);
+  if (!r.ok()) {
+    note_timeout("timeout.window");
+    return r;
+  }
   note_sent(bytes);
   obs_span(start, "send", bytes);
-}
-
-std::optional<net::Message> FastSocket::recv() {
-  const SimTime start = obs_now();
-  auto m = in_->recv();
-  if (m) {
-    if (transport_copies(transport_)) {
-      note_copy(CopyStage::kKernelToUser, m->bytes);
-    }
-    note_received(m->bytes);
-    obs_span(start, "recv", m->bytes);
-  }
-  return m;
-}
-
-std::optional<net::Message> FastSocket::try_recv() {
-  auto m = in_->try_recv();
-  if (m) {
-    if (transport_copies(transport_)) {
-      note_copy(CopyStage::kKernelToUser, m->bytes);
-    }
-    note_received(m->bytes);
-  }
-  return m;
+  return r;
 }
 
 Result<std::optional<net::Message>> FastSocket::recv_for(SimTime timeout) {
   const SimTime start = obs_now();
   auto r = in_->recv_for(timeout);
-  if (r.ok() && r.value()) {
-    if (transport_copies(transport_)) {
-      note_copy(CopyStage::kKernelToUser, r.value()->bytes);
-    }
-    note_received(r.value()->bytes);
-    obs_span(start, "recv", r.value()->bytes);
-  } else if (!r.ok()) {
-    note_timeout("timeout.recv");
+  if (r.ok() && r.value() && transport_copies(transport_)) {
+    note_copy(CopyStage::kKernelToUser, r.value()->bytes);
   }
-  return r;
-}
-
-Result<void> FastSocket::send_for(net::Message m, SimTime timeout) {
-  const std::uint64_t bytes = m.bytes;
-  const std::uint64_t buffer = m.buffer;
-  const SimTime start = obs_now();
-  // Policy work happens before the transport accepts the message — a
-  // pinned-then-timed-out message still paid for its pin.
-  const bool release =
-      transport_copies(transport_) ? false : policy_acquire(buffer, bytes);
-  auto r = out_->send_for(std::move(m), timeout);
-  if (release) policy_release(buffer, bytes);
-  if (r.ok()) {
-    if (transport_copies(transport_)) {
-      note_copy(CopyStage::kUserToKernel, bytes);
-    }
-    note_sent(bytes);
-    obs_span(start, "send", bytes);
-  } else {
-    note_timeout("timeout.window");
-  }
-  return r;
+  return finish_recv(start, std::move(r));
 }
 
 void FastSocket::close_send() { out_->close(); }

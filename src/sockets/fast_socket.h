@@ -16,17 +16,9 @@ class FastSocket final : public SvSocket {
                               net::CalibrationProfile profile,
                               const std::string& name);
 
-  void send(net::Message m) override;
-  std::optional<net::Message> recv() override;
-  std::optional<net::Message> try_recv() override;
-  [[nodiscard]] Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
   [[nodiscard]] Result<void> send_for(net::Message m, SimTime timeout) override;
+  [[nodiscard]] Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
   void close_send() override;
-
-  [[nodiscard]] net::Transport transport() const override {
-    return transport_;
-  }
-  [[nodiscard]] net::Node& local_node() const override { return *node_; }
 
  private:
   FastSocket(sim::Simulation* sim, net::Transport transport, net::Node* node,
@@ -34,7 +26,6 @@ class FastSocket final : public SvSocket {
              std::shared_ptr<net::Pipe> in);
 
   net::Transport transport_;
-  net::Node* node_;
   std::shared_ptr<net::Pipe> out_;
   std::shared_ptr<net::Pipe> in_;
 };

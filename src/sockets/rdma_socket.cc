@@ -132,31 +132,16 @@ void RdmaPushSocket::PairState::demux_loop(int i) {
   }
 }
 
-net::Node& RdmaPushSocket::local_node() const { return mine().nic->node(); }
-
 std::uint32_t RdmaPushSocket::available_slots() const { return mine().slots; }
 
-void RdmaPushSocket::send(net::Message m) {
-  (void)send_impl(std::move(m), /*timed=*/false, SimTime::zero());
-}
-
 Result<void> RdmaPushSocket::send_for(net::Message m, SimTime timeout) {
-  if (timeout <= SimTime::zero()) {
-    send(std::move(m));
-    return Result<void>::success();
-  }
-  return send_impl(std::move(m), /*timed=*/true,
-                   state_->sim->now() + timeout);
-}
-
-Result<void> RdmaPushSocket::send_impl(net::Message m, bool timed,
-                                       SimTime deadline) {
   Side& me = mine();
   Side& peer = state_->sides[static_cast<std::size_t>(1 - side_)];
   if (me.send_closed) {
     throw std::logic_error("RdmaPushSocket::send after close");
   }
   const SimTime start = obs_now();
+  const SimTime deadline = state_->sim->deadline_after(timeout);
   m.sent_at = state_->sim->now();
 
   // Selective-copy policy consult (DESIGN.md §14); null policy = legacy
@@ -175,15 +160,7 @@ Result<void> RdmaPushSocket::send_impl(net::Message m, bool timed,
   std::uint64_t remaining = total;
   for (std::uint64_t i = 0; i < nchunks; ++i) {
     while (me.slots == 0) {
-      if (!timed) {
-        me.slot_wait.wait();
-        continue;
-      }
-      const SimTime left = deadline - state_->sim->now();
-      if (left > SimTime::zero() && me.slot_wait.wait_for(left)) {
-        continue;
-      }
-      if (me.slots == 0) {
+      if (!me.slot_wait.wait_until(deadline) && me.slots == 0) {
         if (release) policy_release(buffer, total);
         note_timeout("timeout.slot_stall");
         return Error::timeout(
@@ -217,35 +194,10 @@ Result<void> RdmaPushSocket::send_impl(net::Message m, bool timed,
   return Result<void>::success();
 }
 
-std::optional<net::Message> RdmaPushSocket::recv() {
-  const SimTime start = obs_now();
-  auto m = mine().delivered.recv();
-  if (m) {
-    note_received(m->bytes);
-    obs_span(start, "recv", m->bytes);
-  }
-  return m;
-}
-
 Result<std::optional<net::Message>> RdmaPushSocket::recv_for(
     SimTime timeout) {
   const SimTime start = obs_now();
-  auto r = mine().delivered.recv_for(timeout);
-  if (r.ok() && r.value()) {
-    note_received(r.value()->bytes);
-    obs_span(start, "recv", r.value()->bytes);
-  } else if (!r.ok()) {
-    note_timeout("timeout.recv");
-  }
-  return r;
-}
-
-std::optional<net::Message> RdmaPushSocket::try_recv() {
-  auto m = mine().delivered.try_recv();
-  if (m) {
-    note_received(m->bytes);
-  }
-  return m;
+  return finish_recv(start, mine().delivered.recv_for(timeout));
 }
 
 void RdmaPushSocket::close_send() {

@@ -38,19 +38,11 @@ class RdmaPushSocket final : public SvSocket {
                               RdmaSocketOptions options = {});
   ~RdmaPushSocket() override;
 
-  void send(net::Message m) override;
-  std::optional<net::Message> recv() override;
-  std::optional<net::Message> try_recv() override;
-  [[nodiscard]] Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
-  /// Timed send with slot-stall detection (the ring analogue of the
-  /// SocketVIA credit stall: a stalled receiver stops returning slots).
+  /// Send with slot-stall detection (the ring analogue of the SocketVIA
+  /// credit stall: a stalled receiver stops returning slots).
   [[nodiscard]] Result<void> send_for(net::Message m, SimTime timeout) override;
+  [[nodiscard]] Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
   void close_send() override;
-
-  [[nodiscard]] net::Transport transport() const override {
-    return net::Transport::kVia;  // one-sided VIA primitives
-  }
-  [[nodiscard]] net::Node& local_node() const override;
 
   [[nodiscard]] std::uint32_t available_slots() const;
 
@@ -101,8 +93,6 @@ class RdmaPushSocket final : public SvSocket {
   };
 
   RdmaPushSocket(std::shared_ptr<PairState> state, int side);
-
-  Result<void> send_impl(net::Message m, bool timed, SimTime deadline);
 
   [[nodiscard]] Side& mine() const {
     return state_->sides[static_cast<std::size_t>(side_)];

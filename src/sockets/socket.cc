@@ -60,6 +60,17 @@ void SvSocket::note_received(std::uint64_t bytes) {
   c_msgs_recv_total_->inc();
 }
 
+Result<std::optional<net::Message>> SvSocket::finish_recv(
+    SimTime start, Result<std::optional<net::Message>>&& r) {
+  if (!r.ok()) {
+    note_timeout("timeout.recv");
+  } else if (r.value()) {
+    note_received(r.value()->bytes);
+    obs_span(start, "recv", r.value()->bytes);
+  }
+  return std::move(r);
+}
+
 void SvSocket::note_timeout(std::string_view op) {
   if (c_timeouts_ == nullptr) return;
   c_timeouts_->inc();

@@ -15,6 +15,10 @@
 //    Nagle) or a SocketVIA implementation over the VIA provider library
 //    (descriptor pools, credit-based flow control, credit-update messages).
 // Tests assert the two levels agree on message timing.
+//
+// Each transport writes each blocking operation once, as a body that waits
+// until a deadline (send_for, recv_for); send() and recv() are that body
+// with no deadline, so the blocking and the timed path cannot drift apart.
 #pragma once
 
 #include <array>
@@ -23,6 +27,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/result.h"
 #include "mem/copy_policy.h"
@@ -52,19 +57,19 @@ struct SocketStats {
 };
 
 /// A connected, bidirectional, message-oriented blocking socket endpoint.
+/// A transport implements three operations: send_for, recv_for and
+/// close_send.
 class SvSocket {
  public:
   virtual ~SvSocket() = default;
 
-  /// Blocking send; returns when the message is accepted by the transport
-  /// (flow control may block the caller). Must run inside a simulated
-  /// process on the socket's node.
-  virtual void send(net::Message m) = 0;
-
-  /// Blocking receive; nullopt after the peer closed and all data drained.
-  virtual std::optional<net::Message> recv() = 0;
-  /// Non-blocking receive.
-  virtual std::optional<net::Message> try_recv() = 0;
+  /// Timed send: ErrorCode::kTimeout when the transport cannot accept the
+  /// message within `timeout` (<= 0 means wait forever) — e.g. SocketVIA
+  /// starved of credits by a stalled receiver, or TCP against a closed
+  /// window. Part of the message may already be in flight after a timeout;
+  /// treat the stream as failed. Must run inside a simulated process on
+  /// the socket's node.
+  [[nodiscard]] virtual Result<void> send_for(net::Message m, SimTime timeout) = 0;
 
   /// Timed receive: ok(message) on data, ok(nullopt) on end-of-stream, or
   /// ErrorCode::kTimeout if nothing is deliverable within `timeout`
@@ -73,18 +78,17 @@ class SvSocket {
   /// fatal for the stream (the stalled-peer recovery story; see fault.h).
   [[nodiscard]] virtual Result<std::optional<net::Message>> recv_for(SimTime timeout) = 0;
 
-  /// Timed send: ErrorCode::kTimeout when the transport cannot accept the
-  /// message within `timeout` (<= 0 means wait forever) — e.g. SocketVIA
-  /// starved of credits by a stalled receiver, or TCP against a closed
-  /// window. Part of the message may already be in flight after a timeout;
-  /// treat the stream as failed.
-  [[nodiscard]] virtual Result<void> send_for(net::Message m, SimTime timeout) = 0;
-
   /// Half-close: no further sends from this side; peer sees end-of-stream.
   virtual void close_send() = 0;
 
-  [[nodiscard]] virtual net::Transport transport() const = 0;
-  [[nodiscard]] virtual net::Node& local_node() const = 0;
+  /// Blocking send; returns when the message is accepted by the transport
+  /// (flow control may block the caller).
+  void send(net::Message m) { (void)send_for(std::move(m), SimTime::zero()); }
+  /// Blocking receive; nullopt after the peer closed and all data drained.
+  std::optional<net::Message> recv() {
+    return std::move(recv_for(SimTime::zero()).value());
+  }
+
   /// Snapshot of this socket's registry counters (zeros before init_obs).
   [[nodiscard]] SocketStats stats() const;
 
@@ -104,7 +108,6 @@ class SvSocket {
   /// the node owns. Kernel TCP never consults it — TCP's two copies are
   /// structural, not a choice.
   void set_copy_policy(std::shared_ptr<mem::CopyPolicy> policy);
-  [[nodiscard]] bool has_copy_policy() const { return policy_ != nullptr; }
 
  protected:
   /// Binds this endpoint's counters into the simulation registry: per-socket
@@ -116,6 +119,10 @@ class SvSocket {
   /// Counter bumps for every accepted send / delivered receive.
   void note_sent(std::uint64_t bytes);
   void note_received(std::uint64_t bytes);
+  /// The common tail of recv_for() begun at `start`: counts and spans a
+  /// delivered message, or counts a timeout as "timeout.recv".
+  Result<std::optional<net::Message>> finish_recv(
+      SimTime start, Result<std::optional<net::Message>>&& r);
   /// A timed operation gave up: counts per-socket, per-link and aggregate,
   /// and drops a trace instant naming the stall reason (`op`, e.g.
   /// "timeout.credit_stall").

@@ -56,14 +56,12 @@ SocketPair DetailedTcpSocket::make_pair(tcpstack::TcpStack& a,
   return {std::move(sa), std::move(sb)};
 }
 
-net::Node& DetailedTcpSocket::local_node() const {
-  return conn_->stack().node();
-}
-
-void DetailedTcpSocket::send(net::Message m) {
+Result<void> DetailedTcpSocket::send_for(net::Message m, SimTime timeout) {
+  sim::Simulation& sim = conn_->stack().sim();
   const std::uint64_t bytes = m.bytes;
   const SimTime start = obs_now();
-  m.sent_at = conn_->stack().sim().now();
+  const SimTime deadline = sim.deadline_after(timeout);
+  m.sent_at = sim.now();
   mem::Payload frame = take_frame(m, kHeaderBytes);
   // Metadata rides an in-order side queue; the frame bytes go through the
   // full TCP machinery. Single writer per socket assumed (as in DataCutter).
@@ -72,58 +70,35 @@ void DetailedTcpSocket::send(net::Message m) {
   // Handing user bytes to the stack models the write()-side user->kernel
   // copy; its time is already in the calibrated per-byte send cost.
   note_copy(CopyStage::kUserToKernel, bytes);
-  conn_->send_payload(std::move(frame));
+  auto r = conn_->send_until(std::move(frame), deadline);
+  if (!r.ok()) {
+    note_timeout("timeout.sndbuf");
+    return r;
+  }
   note_sent(bytes);
   obs_span(start, "send", bytes);
-}
-
-std::optional<net::Message> DetailedTcpSocket::recv() {
-  const SimTime start = obs_now();
-  while (incoming_->metas.empty()) {
-    incoming_->meta_available.wait();
-  }
-  if (is_eof_marker(incoming_->metas.front())) {
-    peer_closed_ = true;
-    return std::nullopt;
-  }
-  net::Message m = std::move(incoming_->metas.front());
-  incoming_->metas.pop_front();
-  const mem::Payload frame = conn_->recv_exact_payload(kHeaderBytes + m.bytes);
-  attach_body(m, frame, kHeaderBytes);
-  note_copy(CopyStage::kKernelToUser, m.bytes);
-  m.delivered_at = conn_->stack().sim().now();
-  note_received(m.bytes);
-  obs_span(start, "recv", m.bytes);
-  return m;
+  return r;
 }
 
 Result<std::optional<net::Message>> DetailedTcpSocket::recv_for(
     SimTime timeout) {
-  if (timeout <= SimTime::zero()) return recv();
+  sim::Simulation& sim = conn_->stack().sim();
   const SimTime start = obs_now();
-  const SimTime deadline = conn_->stack().sim().now() + timeout;
+  const SimTime deadline = sim.deadline_after(timeout);
   while (incoming_->metas.empty()) {
-    const SimTime left = deadline - conn_->stack().sim().now();
-    if (left <= SimTime::zero() ||
-        !incoming_->meta_available.wait_for(left)) {
-      if (!incoming_->metas.empty()) break;  // raced with a late arrival
+    if (!incoming_->meta_available.wait_until(deadline) &&
+        incoming_->metas.empty()) {
       note_timeout("timeout.recv");
       return Error::timeout("DetailedTcpSocket: recv timed out");
     }
   }
   if (is_eof_marker(incoming_->metas.front())) {
-    peer_closed_ = true;
     return std::optional<net::Message>{};
   }
-  // Drain the frame with the remaining budget; the meta entry is consumed
-  // only on success so a timed-out socket fails loudly, not subtly.
-  const std::uint64_t frame = kHeaderBytes + incoming_->metas.front().bytes;
-  const SimTime left = deadline - conn_->stack().sim().now();
-  if (left <= SimTime::zero()) {
-    note_timeout("timeout.recv");
-    return Error::timeout("DetailedTcpSocket: recv timed out");
-  }
-  auto drained = conn_->recv_exact_payload_for(frame, left);
+  // Drain the frame by the same deadline; the meta entry is consumed only
+  // on success so a timed-out socket fails loudly, not subtly.
+  auto drained = conn_->recv_exact_until(
+      kHeaderBytes + incoming_->metas.front().bytes, deadline);
   if (!drained.ok()) {
     note_timeout("timeout.recv_drain");
     return drained.error();
@@ -132,42 +107,10 @@ Result<std::optional<net::Message>> DetailedTcpSocket::recv_for(
   incoming_->metas.pop_front();
   attach_body(m, drained.value(), kHeaderBytes);
   note_copy(CopyStage::kKernelToUser, m.bytes);
-  m.delivered_at = conn_->stack().sim().now();
+  m.delivered_at = sim.now();
   note_received(m.bytes);
   obs_span(start, "recv", m.bytes);
   return std::optional<net::Message>(std::move(m));
-}
-
-Result<void> DetailedTcpSocket::send_for(net::Message m, SimTime timeout) {
-  if (timeout <= SimTime::zero()) {
-    send(std::move(m));
-    return Result<void>::success();
-  }
-  const std::uint64_t bytes = m.bytes;
-  const SimTime start = obs_now();
-  m.sent_at = conn_->stack().sim().now();
-  mem::Payload frame = take_frame(m, kHeaderBytes);
-  outgoing_->metas.push_back(std::move(m));
-  outgoing_->meta_available.notify_all();
-  auto r = conn_->send_payload_for(std::move(frame), timeout);
-  if (r.ok()) {
-    note_copy(CopyStage::kUserToKernel, bytes);
-    note_sent(bytes);
-    obs_span(start, "send", bytes);
-  } else {
-    note_timeout("timeout.sndbuf");
-  }
-  return r;
-}
-
-std::optional<net::Message> DetailedTcpSocket::try_recv() {
-  if (incoming_->metas.empty()) return std::nullopt;
-  if (is_eof_marker(incoming_->metas.front())) return std::nullopt;
-  const net::Message& front = incoming_->metas.front();
-  if (conn_->recv_buffered() < kHeaderBytes + front.bytes) {
-    return std::nullopt;  // frame not fully buffered yet
-  }
-  return recv();
 }
 
 void DetailedTcpSocket::close_send() {

@@ -23,19 +23,11 @@ class DetailedTcpSocket final : public SvSocket {
   static SocketPair make_pair(tcpstack::TcpStack& a, tcpstack::TcpStack& b,
                               tcpstack::TcpOptions options = {});
 
-  void send(net::Message m) override;
-  std::optional<net::Message> recv() override;
-  std::optional<net::Message> try_recv() override;
+  [[nodiscard]] Result<void> send_for(net::Message m, SimTime timeout) override;
   /// Timed receive. On kTimeout a frame may be partially drained from the
   /// TCP stream; the socket must then be abandoned.
   [[nodiscard]] Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
-  [[nodiscard]] Result<void> send_for(net::Message m, SimTime timeout) override;
   void close_send() override;
-
-  [[nodiscard]] net::Transport transport() const override {
-    return net::Transport::kKernelTcp;
-  }
-  [[nodiscard]] net::Node& local_node() const override;
 
  private:
   /// Per-direction framing state shared between the two endpoints.
@@ -61,7 +53,6 @@ class DetailedTcpSocket final : public SvSocket {
   std::shared_ptr<tcpstack::TcpConnection> conn_;
   std::shared_ptr<Direction> outgoing_;
   std::shared_ptr<Direction> incoming_;
-  bool peer_closed_ = false;
 };
 
 }  // namespace sv::sockets

@@ -149,10 +149,6 @@ void DetailedViaSocket::PairState::demux_loop(int i) {
   }
 }
 
-net::Node& DetailedViaSocket::local_node() const {
-  return mine().nic->node();
-}
-
 std::uint32_t DetailedViaSocket::available_credits() const {
   return mine().credits;
 }
@@ -162,27 +158,13 @@ std::uint64_t DetailedViaSocket::credit_updates_sent() const {
                                           : mine().credit_updates->value();
 }
 
-void DetailedViaSocket::send(net::Message m) {
-  // Untimed: the credit wait can only end with credits, so always ok.
-  (void)send_impl(std::move(m), /*timed=*/false, SimTime::zero());
-}
-
 Result<void> DetailedViaSocket::send_for(net::Message m, SimTime timeout) {
-  if (timeout <= SimTime::zero()) {
-    send(std::move(m));
-    return Result<void>::success();
-  }
-  return send_impl(std::move(m), /*timed=*/true,
-                   state_->sim->now() + timeout);
-}
-
-Result<void> DetailedViaSocket::send_impl(net::Message m, bool timed,
-                                          SimTime deadline) {
   Side& me = mine();
   if (me.send_closed) {
     throw std::logic_error("DetailedViaSocket::send after close");
   }
   const SimTime start = obs_now();
+  const SimTime deadline = state_->sim->deadline_after(timeout);
   m.sent_at = state_->sim->now();
 
   // Selective-copy policy consult (DESIGN.md §14): decides whether this
@@ -206,18 +188,10 @@ Result<void> DetailedViaSocket::send_impl(net::Message m, bool timed,
   std::uint64_t remaining = total;
   for (std::uint64_t i = 0; i < nchunks; ++i) {
     while (me.credits == 0) {
-      if (!timed) {
-        me.credit_wait.wait();
-        continue;
-      }
       // Credit-stall detection: a receiver that stops consuming (stalled
       // node, wedged filter) stops returning credits; bail out cleanly
       // instead of blocking this process forever.
-      const SimTime left = deadline - state_->sim->now();
-      if (left > SimTime::zero() && me.credit_wait.wait_for(left)) {
-        continue;
-      }
-      if (me.credits == 0) {
+      if (!me.credit_wait.wait_until(deadline) && me.credits == 0) {
         // A pinned-on-the-fly region is unpinned even on a failed send.
         if (release) policy_release(buffer, total);
         note_timeout("timeout.credit_stall");
@@ -250,35 +224,10 @@ Result<void> DetailedViaSocket::send_impl(net::Message m, bool timed,
   return Result<void>::success();
 }
 
-std::optional<net::Message> DetailedViaSocket::recv() {
-  const SimTime start = obs_now();
-  auto m = mine().delivered.recv();
-  if (m) {
-    note_received(m->bytes);
-    obs_span(start, "recv", m->bytes);
-  }
-  return m;
-}
-
 Result<std::optional<net::Message>> DetailedViaSocket::recv_for(
     SimTime timeout) {
   const SimTime start = obs_now();
-  auto r = mine().delivered.recv_for(timeout);
-  if (r.ok() && r.value()) {
-    note_received(r.value()->bytes);
-    obs_span(start, "recv", r.value()->bytes);
-  } else if (!r.ok()) {
-    note_timeout("timeout.recv");
-  }
-  return r;
-}
-
-std::optional<net::Message> DetailedViaSocket::try_recv() {
-  auto m = mine().delivered.try_recv();
-  if (m) {
-    note_received(m->bytes);
-  }
-  return m;
+  return finish_recv(start, mine().delivered.recv_for(timeout));
 }
 
 void DetailedViaSocket::close_send() {

@@ -45,21 +45,13 @@ class DetailedViaSocket final : public SvSocket {
                               ViaSocketOptions options = {});
   ~DetailedViaSocket() override;
 
-  void send(net::Message m) override;
-  std::optional<net::Message> recv() override;
-  std::optional<net::Message> try_recv() override;
+  /// Send with credit-stall detection: if the receiver stops returning
+  /// credits (e.g. its node is stalled) the send gives up after `timeout`
+  /// instead of blocking forever on credit_wait.
+  [[nodiscard]] Result<void> send_for(net::Message m, SimTime timeout) override;
   /// Timed receive (ok(nullopt) = EOF; kTimeout = nothing delivered).
   [[nodiscard]] Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
-  /// Timed send with credit-stall detection: if the receiver stops
-  /// returning credits (e.g. its node is stalled) the send gives up after
-  /// `timeout` instead of blocking forever on credit_wait.
-  [[nodiscard]] Result<void> send_for(net::Message m, SimTime timeout) override;
   void close_send() override;
-
-  [[nodiscard]] net::Transport transport() const override {
-    return net::Transport::kSocketVia;
-  }
-  [[nodiscard]] net::Node& local_node() const override;
 
   /// Diagnostics for tests.
   [[nodiscard]] std::uint32_t available_credits() const;
@@ -115,10 +107,6 @@ class DetailedViaSocket final : public SvSocket {
   };
 
   DetailedViaSocket(std::shared_ptr<PairState> state, int side);
-
-  /// Shared body of send()/send_for(); `deadline` is ignored when `timed`
-  /// is false.
-  Result<void> send_impl(net::Message m, bool timed, SimTime deadline);
 
   [[nodiscard]] Side& mine() const {
     return state_->sides[static_cast<std::size_t>(side_)];

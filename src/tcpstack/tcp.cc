@@ -62,28 +62,14 @@ std::uint64_t TcpConnection::peer_window_available() const {
 void TcpConnection::send(std::uint64_t bytes) {
   // Timing-only stream: a virtual payload flows through the exact same
   // segmentation/reassembly machinery as materialized bytes.
-  (void)send_impl(mem::Payload::virtual_bytes(bytes), SimTime::zero());
+  (void)send_until(mem::Payload::virtual_bytes(bytes), SimTime::max());
 }
 
-void TcpConnection::send_payload(mem::Payload payload) {
-  (void)send_impl(std::move(payload), SimTime::zero());
-}
-
-Result<void> TcpConnection::send_for(std::uint64_t bytes, SimTime timeout) {
-  return send_impl(mem::Payload::virtual_bytes(bytes), timeout);
-}
-
-Result<void> TcpConnection::send_payload_for(mem::Payload payload,
-                                             SimTime timeout) {
-  return send_impl(std::move(payload), timeout);
-}
-
-Result<void> TcpConnection::send_impl(mem::Payload payload, SimTime timeout) {
+Result<void> TcpConnection::send_until(mem::Payload payload,
+                                       SimTime deadline) {
   if (fin_queued_) {
     throw std::logic_error("TcpConnection[" + name_ + "]::send after close");
   }
-  const bool timed = timeout > SimTime::zero();
-  const SimTime deadline = stack_->sim().now() + timeout;
   // Syscall entry, then copy into the socket buffer incrementally as ACKs
   // free space — like the kernel, so large writes overlap with transmission
   // instead of degenerating to stop-and-wait.
@@ -99,19 +85,13 @@ Result<void> TcpConnection::send_impl(mem::Payload payload, SimTime timeout) {
   while (offset < bytes) {
     std::uint64_t used = unsent_bytes_ + inflight_bytes_;
     while (used >= options_.send_buffer) {
-      if (timed) {
-        const SimTime left = deadline - stack_->sim().now();
-        if (left <= SimTime::zero() || !send_space_.wait_for(left)) {
-          used = unsent_bytes_ + inflight_bytes_;
-          if (used < options_.send_buffer) break;  // raced with an ACK
-          return Error::timeout("TcpConnection[" + name_ +
-                                "]: send timed out with a full socket buffer "
-                                "(peer not ACKing)");
-        }
-      } else {
-        send_space_.wait();
-      }
+      const bool woken = send_space_.wait_until(deadline);
       used = unsent_bytes_ + inflight_bytes_;
+      if (!woken && used >= options_.send_buffer) {
+        return Error::timeout("TcpConnection[" + name_ +
+                              "]: send timed out with a full socket buffer "
+                              "(peer not ACKing)");
+      }
     }
     const std::uint64_t take =
         std::min({bytes - offset, options_.send_buffer - used, quantum});
@@ -151,50 +131,30 @@ std::uint64_t TcpConnection::recv(std::uint64_t max) {
 }
 
 std::uint64_t TcpConnection::recv_exact(std::uint64_t n) {
-  return recv_exact_impl(n, SimTime::zero(), nullptr).value();
+  return recv_exact_impl(n, SimTime::max(), nullptr).value();
 }
 
-mem::Payload TcpConnection::recv_exact_payload(std::uint64_t n) {
+Result<mem::Payload> TcpConnection::recv_exact_until(std::uint64_t n,
+                                                     SimTime deadline) {
   mem::Payload out;
-  (void)recv_exact_impl(n, SimTime::zero(), &out);
-  return out;
-}
-
-Result<std::uint64_t> TcpConnection::recv_exact_for(std::uint64_t n,
-                                                    SimTime timeout) {
-  return recv_exact_impl(n, timeout, nullptr);
-}
-
-Result<mem::Payload> TcpConnection::recv_exact_payload_for(std::uint64_t n,
-                                                           SimTime timeout) {
-  mem::Payload out;
-  auto r = recv_exact_impl(n, timeout, &out);
+  auto r = recv_exact_impl(n, deadline, &out);
   if (!r.ok()) return r.error();
   return out;
 }
 
 Result<std::uint64_t> TcpConnection::recv_exact_impl(std::uint64_t n,
-                                                     SimTime timeout,
+                                                     SimTime deadline,
                                                      mem::Payload* out) {
   if (n == 0) return std::uint64_t{0};
-  const bool timed = timeout > SimTime::zero();
-  const SimTime deadline = stack_->sim().now() + timeout;
   // One MSG_WAITALL syscall: a single fixed cost, then drain until n bytes.
   bool charged = false;
   std::uint64_t total = 0;
   while (total < n) {
     while (recv_buf_bytes_ == 0 && !fin_received_) {
-      if (timed) {
-        const SimTime remaining = deadline - stack_->sim().now();
-        if (remaining <= SimTime::zero() ||
-            !recv_wait_.wait_for(remaining)) {
-          if (recv_buf_bytes_ > 0 || fin_received_) break;  // raced with data
-          return Error::timeout("TcpConnection[" + name_ +
-                                "]: recv timed out after " +
-                                timeout.to_string());
-        }
-      } else {
-        recv_wait_.wait();
+      if (!recv_wait_.wait_until(deadline) && recv_buf_bytes_ == 0 &&
+          !fin_received_) {
+        return Error::timeout("TcpConnection[" + name_ +
+                              "]: recv timed out at " + deadline.to_string());
       }
     }
     if (recv_buf_bytes_ == 0) break;  // EOF before n bytes

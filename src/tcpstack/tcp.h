@@ -3,7 +3,9 @@
 // Executed machinery: MSS segmentation, byte sequence numbers with
 // cumulative ACKs, sliding-window flow control against the receiver's
 // buffer, delayed-ACK (ack every 2nd segment or after a timeout), Nagle's
-// algorithm, blocking send/recv with socket buffers, FIN/close sequencing,
+// algorithm, blocking send/recv with socket buffers (one body each for
+// sending and for draining exactly n bytes, which waits until a deadline;
+// send() and recv_exact() pass none), FIN/close sequencing,
 // and real loss recovery: a retransmission timer with exponential backoff,
 // duplicate-ACK fast retransmit, and out-of-order reassembly at the
 // receiver. Per-segment and per-syscall costs come from the calibrated
@@ -74,18 +76,16 @@ class TcpConnection {
   /// the stream carries a virtual payload of `bytes` bytes.
   void send(std::uint64_t bytes);
 
-  /// Blocking send of a payload chain. The stack slices it into segments
-  /// by reference (mem/payload.h): retransmit buffers and reassembly hold
-  /// views, never copies. The modeled user→kernel copy time is the
-  /// send_per_byte charge; the *event* is counted by the socket layer.
-  void send_payload(mem::Payload payload);
-
-  /// Timed send: ErrorCode::kTimeout if socket-buffer space stops freeing
-  /// up within `timeout` (a peer that stops ACKing, e.g. a stalled node).
-  /// Bytes already buffered stay queued, so treat a timeout as fatal for
-  /// the stream. `timeout` <= 0 means wait forever.
-  [[nodiscard]] Result<void> send_for(std::uint64_t bytes, SimTime timeout);
-  Result<void> send_payload_for(mem::Payload payload, SimTime timeout);
+  /// The one send body: buffers a payload chain, blocking while the socket
+  /// buffer is full. The stack slices it into segments by reference
+  /// (mem/payload.h): retransmit buffers and reassembly hold views, never
+  /// copies. The modeled user→kernel copy time is the send_per_byte
+  /// charge; the *event* is counted by the socket layer. ErrorCode::kTimeout
+  /// if buffer space stops freeing up before `deadline` (a peer that stops
+  /// ACKing, e.g. a stalled node); bytes already buffered stay queued, so
+  /// treat a timeout as fatal for the stream. SimTime::max() waits forever.
+  [[nodiscard]] Result<void> send_until(mem::Payload payload,
+                                        SimTime deadline);
 
   /// Blocking receive: returns 1..max bytes, or 0 at end-of-stream.
   std::uint64_t recv(std::uint64_t max);
@@ -95,16 +95,13 @@ class TcpConnection {
   std::uint64_t recv_exact(std::uint64_t n);
 
   /// recv_exact returning the drained bytes as a payload chain assembled
-  /// zero-copy from the delivered segments (short on end-of-stream).
-  mem::Payload recv_exact_payload(std::uint64_t n);
-
-  /// recv_exact with a deadline: on timeout returns ErrorCode::kTimeout and
-  /// the partially-drained byte count is lost to the caller, so treat a
-  /// timeout as fatal for the stream (the recovery story the DataCutter
-  /// runtime needs for stalled peers). `timeout` <= 0 means wait forever.
-  Result<std::uint64_t> recv_exact_for(std::uint64_t n, SimTime timeout);
-  Result<mem::Payload> recv_exact_payload_for(std::uint64_t n,
-                                              SimTime timeout);
+  /// zero-copy from the delivered segments (short on end-of-stream). On a
+  /// `deadline` that passes first it returns ErrorCode::kTimeout and the
+  /// partially drained bytes are lost to the caller, so treat a timeout as
+  /// fatal for the stream (the recovery story the DataCutter runtime needs
+  /// for stalled peers). SimTime::max() waits forever.
+  [[nodiscard]] Result<mem::Payload> recv_exact_until(std::uint64_t n,
+                                                      SimTime deadline);
 
   /// Half-closes the sending direction (FIN after all queued data).
   void close();
@@ -166,11 +163,9 @@ class TcpConnection {
     mem::Payload payload{};
   };
 
-  /// Common body of send/send_for (timeout <= 0 means wait forever).
-  Result<void> send_impl(mem::Payload payload, SimTime timeout);
-  /// Common body of the recv_exact family. When `out` is non-null the
-  /// drained bytes are appended to it as zero-copy slices.
-  Result<std::uint64_t> recv_exact_impl(std::uint64_t n, SimTime timeout,
+  /// Common body of recv_exact and recv_exact_until. When `out` is
+  /// non-null the drained bytes are appended to it as zero-copy slices.
+  Result<std::uint64_t> recv_exact_impl(std::uint64_t n, SimTime deadline,
                                         mem::Payload* out);
   void tx_loop();
   /// Sends a fresh segment of `bytes` payload (seq = snd_nxt_), slicing

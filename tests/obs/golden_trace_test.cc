@@ -25,14 +25,6 @@
 #include "obs/trace.h"
 #include "sockets/factory.h"
 
-// With SV_TRACE=OFF the tracer records nothing, so there is no trace to
-// diff; the suite skips rather than failing on empty output.
-#if SV_TRACE_ENABLED
-#define SV_REQUIRE_TRACING() (void)0
-#else
-#define SV_REQUIRE_TRACING() GTEST_SKIP() << "tracer compiled out (SV_TRACE=OFF)"
-#endif
-
 #ifndef SV_GOLDEN_DIR
 #error "SV_GOLDEN_DIR must point at tests/obs/golden"
 #endif
@@ -161,22 +153,18 @@ std::string trace_lossy_transfer() {
 }
 
 TEST(GoldenTrace, FastTcpPingPong) {
-  SV_REQUIRE_TRACING();
   check_against_golden("fast_tcp_pingpong", trace_fast_tcp_pingpong());
 }
 
 TEST(GoldenTrace, SocketViaChunkStream) {
-  SV_REQUIRE_TRACING();
   check_against_golden("svia_chunk_stream", trace_svia_chunk_stream());
 }
 
 TEST(GoldenTrace, LossyTransfer) {
-  SV_REQUIRE_TRACING();
   check_against_golden("lossy_transfer", trace_lossy_transfer());
 }
 
 TEST(GoldenTrace, TraceIsBitIdenticalAcrossRuns) {
-  SV_REQUIRE_TRACING();
   // The goldens only make sense if the canonical form is reproducible in
   // the first place; this guards the determinism contract directly.
   EXPECT_EQ(trace_fast_tcp_pingpong(), trace_fast_tcp_pingpong());

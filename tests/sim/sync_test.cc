@@ -64,7 +64,7 @@ TEST(WaitQueueTest, WaitForTimesOut) {
   bool notified = true;
   SimTime when;
   s.spawn("p", [&] {
-    notified = q.wait_for(50_us);
+    notified = q.wait_until(s.now() + 50_us);
     when = s.now();
   });
   s.run();
@@ -79,7 +79,7 @@ TEST(WaitQueueTest, WaitForNotifiedBeforeTimeout) {
   bool notified = false;
   SimTime when;
   s.spawn("p", [&] {
-    notified = q.wait_for(50_us);
+    notified = q.wait_until(s.now() + 50_us);
     when = s.now();
   });
   s.spawn("n", [&] {
@@ -91,12 +91,31 @@ TEST(WaitQueueTest, WaitForNotifiedBeforeTimeout) {
   EXPECT_EQ(when, 20_us);
 }
 
+TEST(WaitQueueTest, WaitUntilReachedDeadlineReturnsAtOnce) {
+  // Every blocking body re-waits with the same deadline after a wake-up;
+  // once it has passed, the wait must report a timeout without blocking
+  // or queueing a waiter.
+  Simulation s;
+  WaitQueue q(&s);
+  bool notified = true;
+  SimTime when = SimTime::max();
+  s.spawn("p", [&] {
+    s.delay(30_us);
+    notified = q.wait_until(20_us);
+    when = s.now();
+    EXPECT_EQ(q.waiter_count(), 0u);
+  });
+  s.run();
+  EXPECT_FALSE(notified);
+  EXPECT_EQ(when, 30_us);
+}
+
 TEST(WaitQueueTest, TimedOutEntrySkippedByLaterNotify) {
   Simulation s;
   WaitQueue q(&s);
   std::vector<std::string> woken;
   s.spawn("timed", [&] {
-    if (!q.wait_for(10_us)) woken.push_back("timed-timeout");
+    if (!q.wait_until(s.now() + 10_us)) woken.push_back("timed-timeout");
   });
   s.spawn("patient", [&] {
     q.wait();

@@ -99,30 +99,6 @@ TEST(TcpSocketEdgeTest, ManySmallFramesKeepBoundaries) {
   for (std::uint64_t i = 0; i < 30; ++i) EXPECT_EQ(sizes[i], (i + 1) * 100);
 }
 
-TEST(TcpSocketEdgeTest, TryRecvOnlyWhenFrameBuffered) {
-  sim::Simulation s;
-  net::Cluster cluster(&s, 2);
-  SocketFactory factory(&s, &cluster, Fidelity::kDetailed);
-  bool early_nullopt = false;
-  bool late_value = false;
-  s.spawn("app", [&] {
-    auto [a, b] = factory.connect(0, 1, net::Transport::kKernelTcp);
-    auto* bp = b.get();
-    s.spawn("rx", [&, b = std::move(b)]() mutable {
-      // Immediately after connect: nothing buffered.
-      early_nullopt = !b->try_recv().has_value();
-      s.delay(50_ms);  // far longer than delivery takes
-      late_value = b->try_recv().has_value();
-    });
-    (void)bp;
-    s.delay(1_ms);
-    a->send(net::Message{.bytes = 5000});
-  });
-  s.run();
-  EXPECT_TRUE(early_nullopt);
-  EXPECT_TRUE(late_value);
-}
-
 TEST(FastSocketEdgeTest, WindowOverrideChangesBackpressure) {
   // A tiny window forces the sender to pace at delivery speed.
   auto run_with_window = [](std::uint64_t window) {

@@ -1,14 +1,19 @@
 // Timed socket operations across every transport: recv_for deadlines,
-// EOF-vs-timeout distinction, and stall detection on the send side —
+// EOF-vs-timeout distinction, stall detection on the send side —
 // window stall (fast fabric), credit stall (SocketVIA), slot stall
-// (RDMA push), and an un-ACKing peer (detailed TCP).
+// (RDMA push), and an un-ACKing peer (detailed TCP) — and a deadline that
+// never trips behaving exactly like no deadline.
 #include "sockets/socket.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "datacutter/local_socket.h"
 #include "net/fault.h"
 #include "sockets/factory.h"
 #include "sockets/rdma_socket.h"
@@ -245,6 +250,111 @@ TEST(SocketTimeoutTest, ZeroTimeoutMeansWaitForever) {
   });
   s.run();
   EXPECT_TRUE(reached_end);
+}
+
+/// What a pair maker builds besides the pair: it must outlive the pair's
+/// traffic and be destroyed before the simulation.
+struct PairOwner {
+  std::unique_ptr<SocketFactory> factory;
+  std::vector<std::unique_ptr<via::Nic>> nics;
+};
+/// One socket pair under test, built inside the simulation's app process.
+using PairMaker =
+    std::function<SocketPair(sim::Simulation&, net::Cluster&, PairOwner&)>;
+
+struct PingPongRun {
+  /// (sent_at, delivered_at) of every message, in receive order.
+  std::vector<std::pair<SimTime, SimTime>> stamps;
+  std::string trace;
+};
+
+/// Traced ping-pong at 4 B, 1460 B, 4 KiB and 64 KiB: each message goes
+/// a -> b and is echoed back. `timed` drives every operation through
+/// send_for()/recv_for() with a 1 s deadline that never trips; otherwise
+/// through send()/recv().
+PingPongRun ping_pong(const PairMaker& make, bool timed) {
+  sim::Simulation s;
+  s.obs().tracer.enable();
+  net::Cluster cluster(&s, 2);
+  PairOwner owner;
+  PingPongRun run;
+  const auto send = [timed](SvSocket& sock, net::Message m) {
+    if (timed) {
+      ASSERT_TRUE(sock.send_for(std::move(m), 1_s).ok());
+    } else {
+      sock.send(std::move(m));
+    }
+  };
+  const auto recv = [timed](SvSocket& sock) -> std::optional<net::Message> {
+    if (!timed) return sock.recv();
+    auto r = sock.recv_for(1_s);
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? std::move(r.value()) : std::nullopt;
+  };
+  s.spawn("app", [&] {
+    auto [a, b] = make(s, cluster, owner);
+    s.spawn("echo", [&, b = std::move(b)]() mutable {
+      while (auto m = recv(*b)) {
+        run.stamps.emplace_back(m->sent_at, m->delivered_at);
+        send(*b, net::Message{.bytes = m->bytes, .tag = m->tag});
+      }
+      b->close_send();
+    });
+    for (const std::uint64_t bytes :
+         {std::uint64_t{4}, std::uint64_t{1460}, 4_KiB, 64_KiB}) {
+      send(*a, net::Message{.bytes = bytes, .tag = bytes});
+      auto m = recv(*a);
+      ASSERT_TRUE(m.has_value());
+      run.stamps.emplace_back(m->sent_at, m->delivered_at);
+    }
+    a->close_send();
+    EXPECT_FALSE(recv(*a).has_value());
+  });
+  s.run();
+  run.trace = s.obs().tracer.canonical();
+  return run;
+}
+
+TEST(SocketTimeoutTest, UntrippedDeadlineMatchesNoDeadline) {
+  const auto factory_pair = [](Fidelity fidelity, net::Transport transport) {
+    return [fidelity, transport](sim::Simulation& s, net::Cluster& cluster,
+                                 PairOwner& owner) {
+      owner.factory = std::make_unique<SocketFactory>(&s, &cluster, fidelity);
+      return owner.factory->connect(0, 1, transport);
+    };
+  };
+  const std::vector<std::pair<std::string, PairMaker>> cases = {
+      {"fast SocketVIA",
+       factory_pair(Fidelity::kFast, net::Transport::kSocketVia)},
+      {"fast kernel TCP",
+       factory_pair(Fidelity::kFast, net::Transport::kKernelTcp)},
+      {"fast raw VIA", factory_pair(Fidelity::kFast, net::Transport::kVia)},
+      {"detailed SocketVIA",
+       factory_pair(Fidelity::kDetailed, net::Transport::kSocketVia)},
+      {"detailed kernel TCP",
+       factory_pair(Fidelity::kDetailed, net::Transport::kKernelTcp)},
+      {"RDMA push",
+       [](sim::Simulation& s, net::Cluster& cluster, PairOwner& owner) {
+         auto& nics = owner.nics;
+         nics.push_back(std::make_unique<via::Nic>(&s, &cluster.node(0)));
+         nics.push_back(std::make_unique<via::Nic>(&s, &cluster.node(1)));
+         return RdmaPushSocket::make_pair(*nics[0], *nics[1]);
+       }},
+      {"DataCutter local",
+       [](sim::Simulation& s, net::Cluster& cluster, PairOwner&) {
+         return dc::LocalSocket::make_pair(&s, &cluster.node(0), "local");
+       }},
+  };
+  for (const auto& [name, make] : cases) {
+    SCOPED_TRACE(name);
+    const PingPongRun plain = ping_pong(make, /*timed=*/false);
+    const PingPongRun timed = ping_pong(make, /*timed=*/true);
+    EXPECT_EQ(plain.stamps.size(), 8u);
+    EXPECT_EQ(plain.stamps, timed.stamps);
+    EXPECT_NE(plain.trace.find("socket."), std::string::npos)
+        << "the trace records the socket operations";
+    EXPECT_EQ(plain.trace, timed.trace);
+  }
 }
 
 }  // namespace

@@ -409,27 +409,11 @@ TEST(SvlintSuppression, MultiRuleAllowList) {
   EXPECT_TRUE(fs[0].suppressed);
 }
 
-TEST(SvlintBaseline, AbsorbConsumesOneSlotPerFinding) {
-  Baseline b =
-      Baseline::load(std::string(SVLINT_FIXTURE_DIR) + "/baseline.txt");
-  EXPECT_EQ(b.size(), 3u);
-  EXPECT_TRUE(b.absorb("src/a.cc", "SV002"));
-  EXPECT_TRUE(b.absorb("src/a.cc", "SV002"));
-  EXPECT_FALSE(b.absorb("src/a.cc", "SV002"))
-      << "a third finding in the same file must fail the build";
-  EXPECT_TRUE(b.absorb("src/b.cc", "SV007"));
-  EXPECT_FALSE(b.absorb("src/b.cc", "SV002")) << "rule id is part of the key";
-}
-
-TEST(SvlintBaseline, MissingFileIsEmpty) {
-  EXPECT_EQ(Baseline::load("/nonexistent/baseline.txt").size(), 0u);
-}
-
 TEST(SvlintJson, FindingsSerializeSortedWithEscapes) {
   std::vector<Finding> fs;
   fs.push_back({"src/b.cc", 2, "SV002", "uses \"rand\"", "x = rand();",
-                false, false});
-  fs.push_back({"src/a.cc", 9, "SV004", "wall clock", "t();", true, false});
+                false});
+  fs.push_back({"src/a.cc", 9, "SV004", "wall clock", "t();", true});
   std::ostringstream os;
   write_findings_json(os, fs);
   const std::string js = os.str();
@@ -438,6 +422,8 @@ TEST(SvlintJson, FindingsSerializeSortedWithEscapes) {
   EXPECT_NE(js.find("\\\"rand\\\""), std::string::npos)
       << "quotes in messages must be escaped";
   EXPECT_NE(js.find("\"suppressed\": true"), std::string::npos);
+  EXPECT_EQ(js.find("baselined"), std::string::npos)
+      << "inline svlint:allow is the only suppression";
 }
 
 TEST(SvlintScan, FindingsAreSortedAndStable) {

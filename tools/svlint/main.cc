@@ -1,10 +1,9 @@
 // svlint CLI. Scans C++ sources under a repository root with the
-// token-level rule engine and exits nonzero if any finding is neither
-// suppressed (svlint:allow) nor grandfathered (baseline file).
+// token-level rule engine and exits nonzero if any finding is not
+// suppressed inline (svlint:allow).
 //
 //   svlint --root <repo> [--verbose] [--list-rules] [--json FILE]
-//          [--baseline FILE] [--write-baseline FILE] [--since REF]
-//          [--check-manifest] [paths...]
+//          [--since REF] [--check-manifest] [paths...]
 //
 // Paths are directories or files relative to --root; the default scan set
 // is "src bench examples tools" (the tool scans itself). --since REF scans
@@ -73,8 +72,6 @@ struct Options {
   std::vector<std::string> targets;
   bool verbose = false;
   std::string json_path;
-  std::string baseline_path = "tools/svlint/baseline.txt";
-  std::string write_baseline_path;
   std::string since_ref;
   bool check_manifest = false;
 };
@@ -82,8 +79,7 @@ struct Options {
 int usage(int code) {
   (code == 0 ? std::cout : std::cerr)
       << "usage: svlint [--root DIR] [--verbose] [--list-rules] "
-         "[--json FILE] [--baseline FILE] [--write-baseline FILE] "
-         "[--since REF] [--check-manifest] [paths...]\n";
+         "[--json FILE] [--since REF] [--check-manifest] [paths...]\n";
   return code;
 }
 
@@ -111,14 +107,6 @@ int main(int argc, char** argv) {
       const char* v = need_arg(i);
       if (v == nullptr) return 2;
       opt.json_path = v;
-    } else if (arg == "--baseline") {
-      const char* v = need_arg(i);
-      if (v == nullptr) return 2;
-      opt.baseline_path = v;
-    } else if (arg == "--write-baseline") {
-      const char* v = need_arg(i);
-      if (v == nullptr) return 2;
-      opt.write_baseline_path = v;
     } else if (arg == "--since") {
       const char* v = need_arg(i);
       if (v == nullptr) return 2;
@@ -145,8 +133,8 @@ int main(int argc, char** argv) {
     opt.targets = {"src", "bench", "examples", "tools"};
   }
 
-  // Expand targets to a sorted, de-duplicated file list so output (and
-  // baseline diffing) is stable.
+  // Expand targets to a sorted, de-duplicated file list so output is
+  // stable.
   std::vector<std::string> files;
   for (const std::string& t : opt.targets) {
     const fs::path p = opt.root / t;
@@ -196,17 +184,12 @@ int main(int argc, char** argv) {
   }
 
   const sv::lint::ProjectContext ctx = sv::lint::load_project(opt.root);
-  sv::lint::Baseline baseline =
-      sv::lint::Baseline::load(opt.root / opt.baseline_path);
 
   std::vector<sv::lint::Finding> all;
-  std::size_t failing = 0, baselined = 0, suppressed = 0;
+  std::size_t failing = 0, suppressed = 0;
   for (const std::string& rel : files) {
     if (selected.count(rel) == 0) continue;
     for (auto& f : sv::lint::scan_lexed(rel, lexed[rel], &ctx)) {
-      if (!f.suppressed && baseline.absorb(f.rel_path, f.rule)) {
-        f.baselined = true;
-      }
       all.push_back(std::move(f));
     }
   }
@@ -232,7 +215,7 @@ int main(int argc, char** argv) {
                            "': no .counter/.gauge/.histogram call in the "
                            "scan set creates it; delete the entry or wire "
                            "the metric up",
-                       family, false, false});
+                       family, false});
       }
     }
   }
@@ -243,14 +226,6 @@ int main(int argc, char** argv) {
       if (opt.verbose) {
         std::cout << f.rel_path << ":" << f.line << ": " << f.rule
                   << " (suppressed): " << f.message << "\n";
-      }
-      continue;
-    }
-    if (f.baselined) {
-      ++baselined;
-      if (opt.verbose) {
-        std::cout << f.rel_path << ":" << f.line << ": " << f.rule
-                  << " (baselined): " << f.message << "\n";
       }
       continue;
     }
@@ -267,18 +242,9 @@ int main(int argc, char** argv) {
     }
     sv::lint::write_findings_json(js, all);
   }
-  if (!opt.write_baseline_path.empty()) {
-    std::ofstream bs(opt.write_baseline_path);
-    if (!bs) {
-      std::cerr << "svlint: cannot write " << opt.write_baseline_path
-                << "\n";
-      return 2;
-    }
-    sv::lint::Baseline::write(bs, all);
-  }
 
   std::cout << "svlint: " << selected.size() << "/" << files.size()
-            << " files scanned, " << failing << " finding(s), " << baselined
-            << " baselined, " << suppressed << " suppressed\n";
+            << " files scanned, " << failing << " finding(s), " << suppressed
+            << " suppressed\n";
   return failing == 0 ? 0 : 1;
 }

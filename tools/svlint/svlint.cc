@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "include_graph.h"
 
@@ -245,7 +246,7 @@ std::string trim(const std::string& s) {
 
 void add(std::vector<Finding>* out, const std::string& rel_path, int line,
          const char* rule, std::string message) {
-  out->push_back({rel_path, line, rule, std::move(message), "", false, false});
+  out->push_back({rel_path, line, rule, std::move(message), "", false});
 }
 
 // ---------------------------------------------------------------------------
@@ -854,41 +855,6 @@ std::set<std::string> collect_metric_families(const LexedFile& lx) {
   return out;
 }
 
-Baseline Baseline::load(const std::filesystem::path& path) {
-  Baseline b;
-  std::ifstream in(path);
-  if (!in) return b;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string entry = trim(line);
-    if (entry.empty() || entry[0] == '#') continue;
-    std::istringstream fields(entry);
-    std::string rel_path, rule;
-    if (fields >> rel_path >> rule) {
-      ++b.entries_[{rel_path, rule}];
-      ++b.total_;
-    }
-  }
-  return b;
-}
-
-bool Baseline::absorb(const std::string& rel_path, const std::string& rule) {
-  const auto it = entries_.find({rel_path, rule});
-  if (it == entries_.end() || it->second <= 0) return false;
-  --it->second;
-  return true;
-}
-
-void Baseline::write(std::ostream& os, const std::vector<Finding>& findings) {
-  os << "# svlint baseline: grandfathered findings, one \"<path> <rule>\" "
-        "pair per instance.\n"
-     << "# CI enforces that this file only ever shrinks "
-        "(tools/svlint/baseline_guard.sh).\n";
-  for (const Finding& f : findings) {
-    if (!f.suppressed) os << f.rel_path << ' ' << f.rule << '\n';
-  }
-}
-
 namespace {
 
 void json_escape(std::ostream& os, const std::string& s) {
@@ -937,8 +903,7 @@ void write_findings_json(std::ostream& os,
     json_escape(os, f.message);
     os << ", \"snippet\": ";
     json_escape(os, f.snippet);
-    os << ", \"suppressed\": " << (f.suppressed ? "true" : "false")
-       << ", \"baselined\": " << (f.baselined ? "true" : "false") << "}"
+    os << ", \"suppressed\": " << (f.suppressed ? "true" : "false") << "}"
        << (i + 1 < findings.size() ? "," : "") << "\n";
   }
   os << "]\n";

@@ -17,10 +17,8 @@
 //
 //   do_hazardous_thing();  // svlint:allow(SV002): justification here
 //
-// (on the offending line or the line directly above it). Pre-existing
-// findings can instead be grandfathered in a committed baseline file
-// (tools/svlint/baseline.txt, one "path rule" pair per finding) that CI
-// only ever lets shrink.
+// (on the offending line or the line directly above it). That is the only
+// suppression: every other finding fails the build.
 #pragma once
 
 #include <filesystem>
@@ -28,7 +26,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "lexer.h"
@@ -42,7 +39,6 @@ struct Finding {
   std::string message;
   std::string snippet;       // the offending source line, trimmed
   bool suppressed = false;   // an svlint:allow(...) covers it
-  bool baselined = false;    // grandfathered by the baseline file
 };
 
 struct RuleInfo {
@@ -90,30 +86,8 @@ std::vector<Finding> scan_file(const std::filesystem::path& root,
 /// manifest.
 std::set<std::string> collect_metric_families(const LexedFile& lx);
 
-/// Grandfathered findings: a multiset of (rel_path, rule) pairs loaded from
-/// the committed baseline file. CI enforces that the file only shrinks.
-class Baseline {
- public:
-  /// Missing file -> empty baseline. Lines are "<rel_path> <rule>";
-  /// '#'-comments and blanks ignored.
-  static Baseline load(const std::filesystem::path& path);
-
-  /// True if (rel_path, rule) is still grandfathered; consumes one slot so
-  /// a file with one baselined SV007 still fails on the second.
-  bool absorb(const std::string& rel_path, const std::string& rule);
-
-  /// Serialises `findings` (unsuppressed only) as baseline lines.
-  static void write(std::ostream& os, const std::vector<Finding>& findings);
-
-  [[nodiscard]] std::size_t size() const { return total_; }
-
- private:
-  std::map<std::pair<std::string, std::string>, int> entries_;
-  std::size_t total_ = 0;
-};
-
 /// Machine-readable findings: a JSON array of {file, line, rule, message,
-/// snippet, suppressed, baselined}, sorted by (file, line, rule).
+/// snippet, suppressed}, sorted by (file, line, rule).
 void write_findings_json(std::ostream& os,
                          const std::vector<Finding>& findings);
 
