@@ -1,10 +1,13 @@
 // Golden event-trace digest pins (DESIGN.md §8, §12).
 //
 // Each pinned workload is a scaled-down seeded run of a paper experiment
-// (fig04 ping-pong, fig08 paced updates, fig10 load balancing). Its
-// (events_fired, trace_digest) pair was captured on the original
-// std::priority_queue engine *before* the timing-wheel queue swap and
-// committed to tests/integration/digest_pins.txt. The test recomputes every
+// (fig04 ping-pong, fig08 paced updates, fig10 load balancing) or of the
+// detailed VIA socket's credit protocol under starvation, on both data
+// paths (the flow-control ablation and the RDMA extension). Its
+// (events_fired, trace_digest) pair is committed to
+// tests/integration/digest_pins.txt; the paper-experiment pins were
+// captured on the original std::priority_queue engine *before* the
+// timing-wheel queue swap. The test recomputes every
 // workload on the current engine — on *both* queue implementations — and
 // asserts bit-identical digests, so the determinism contract survives queue
 // and allocator optimizations mechanically, not by review.
@@ -29,6 +32,9 @@
 #include "net/cluster.h"
 #include "sim/simulation.h"
 #include "sockets/factory.h"
+#include "sockets/rdma_socket.h"
+#include "sockets/via_socket.h"
+#include "via/via.h"
 #include "vizapp/loadbalance.h"
 
 #ifndef SV_DIGEST_PIN_FILE
@@ -126,6 +132,45 @@ PinnedRun fig04_pingpong(sim::QueueKind kind, net::Transport tr) {
   return {s.events_fired(), s.engine().trace_digest()};
 }
 
+/// The detailed VIA socket starved of credits: 4 KiB chunks, 2 credits
+/// returned one at a time, so most chunks of the six 3,000-28,000 B
+/// messages wait for a credit update. `rdma` selects the push data path.
+PinnedRun via_credit_stream(sim::QueueKind kind, bool rdma) {
+  sim::Simulation s(kind);
+  net::Cluster cluster(&s, 2);
+  via::Nic nic0(&s, &cluster.node(0));
+  via::Nic nic1(&s, &cluster.node(1));
+  s.spawn("app", [&] {
+    sockets::SocketPair pair;
+    if (rdma) {
+      sockets::RdmaSocketOptions opt;
+      opt.slot_bytes = 4096;
+      opt.ring_slots = 2;
+      opt.credit_batch = 1;
+      pair = sockets::RdmaPushSocket::make_pair(nic0, nic1, opt);
+    } else {
+      sockets::ViaSocketOptions opt;
+      opt.chunk_bytes = 4096;
+      opt.credits = 2;
+      opt.credit_batch = 1;
+      pair = sockets::DetailedViaSocket::make_pair(nic0, nic1, opt);
+    }
+    auto& [a, b] = pair;
+    s.spawn("rx", [b = std::move(b)]() mutable {
+      while (b->recv()) {
+      }
+    });
+    constexpr std::uint64_t kSizes[] = {3'000, 28'000, 4'096,
+                                        17'500, 9'000, 12'288};
+    for (const std::uint64_t bytes : kSizes) {
+      a->send(net::Message{.bytes = bytes});
+    }
+    a->close_send();
+  });
+  s.run();
+  return {s.events_fired(), s.engine().trace_digest()};
+}
+
 /// Fig 8-style paced complete updates with partial-update probes.
 PinnedRun fig08_paced(sim::QueueKind kind, net::Transport tr) {
   VizWorkloadConfig cfg;
@@ -201,6 +246,18 @@ TEST(DigestPins, Fig04PingPongTcp) {
 TEST(DigestPins, Fig04PingPongSocketVia) {
   check_all_queues("fig04_pingpong_svia", [](sim::QueueKind k) {
     return fig04_pingpong(k, net::Transport::kSocketVia);
+  });
+}
+
+TEST(DigestPins, ViaCreditStreamSocketVia) {
+  check_all_queues("via_credit_stream_svia", [](sim::QueueKind k) {
+    return via_credit_stream(k, /*rdma=*/false);
+  });
+}
+
+TEST(DigestPins, ViaCreditStreamRdma) {
+  check_all_queues("via_credit_stream_rdma", [](sim::QueueKind k) {
+    return via_credit_stream(k, /*rdma=*/true);
   });
 }
 

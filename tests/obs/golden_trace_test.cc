@@ -24,6 +24,8 @@
 #include "net/fault.h"
 #include "obs/trace.h"
 #include "sockets/factory.h"
+#include "sockets/rdma_socket.h"
+#include "via/via.h"
 
 #ifndef SV_GOLDEN_DIR
 #error "SV_GOLDEN_DIR must point at tests/obs/golden"
@@ -131,6 +133,27 @@ std::string trace_svia_chunk_stream() {
   return s.obs().tracer.canonical();
 }
 
+/// The same 4 x 24 KiB stream on the RDMA push path: each chunk is an RDMA
+/// write into the peer's slot ring, notified by write-with-immediate.
+std::string trace_rdma_push_chunk_stream() {
+  sim::Simulation s;
+  s.obs().tracer.enable();
+  net::Cluster cluster(&s, 2);
+  via::Nic nic0(&s, &cluster.node(0));
+  via::Nic nic1(&s, &cluster.node(1));
+  s.spawn("app", [&] {
+    auto [a, b] = sockets::RdmaPushSocket::make_pair(nic0, nic1);
+    s.spawn("rx", [&, b = std::move(b)]() mutable {
+      while (b->recv()) {
+      }
+    });
+    for (int i = 0; i < 4; ++i) a->send(net::Message{.bytes = 24 * 1024});
+    a->close_send();
+  });
+  s.run();
+  return s.obs().tracer.canonical();
+}
+
 /// Fast-fidelity lossy transfer: uniform 5% frame loss at seed 7, so the
 /// trace pins down the injector's drop pattern and the recovery delays.
 std::string trace_lossy_transfer() {
@@ -158,6 +181,11 @@ TEST(GoldenTrace, FastTcpPingPong) {
 
 TEST(GoldenTrace, SocketViaChunkStream) {
   check_against_golden("svia_chunk_stream", trace_svia_chunk_stream());
+}
+
+TEST(GoldenTrace, RdmaPushChunkStream) {
+  check_against_golden("rdma_push_chunk_stream",
+                       trace_rdma_push_chunk_stream());
 }
 
 TEST(GoldenTrace, LossyTransfer) {
