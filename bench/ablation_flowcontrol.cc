@@ -45,14 +45,12 @@ int main(int argc, char** argv) {
   using namespace sv;
   std::int64_t iters = 100;
   std::int64_t msg_kib = 64;
-  bool csv = false;
   CliParser cli("Ablation: SocketVIA credit scheme");
   cli.add_int("iters", &iters, "messages per measurement");
   cli.add_int("msg-kib", &msg_kib, "message size (KiB)");
   harness::ObsArtifacts artifacts;
   harness::add_obs_flags(cli, &artifacts);
   if (!cli.parse(argc, argv)) return 1;
-  cli.add_flag("csv", &csv, "emit CSV");
   const auto msg = static_cast<std::uint64_t>(msg_kib) * 1024;
   const int it = static_cast<int>(iters);
 

@@ -13,7 +13,6 @@
 #include "harness/obsout.h"
 #include "harness/series.h"
 #include "net/cluster.h"
-#include "sockets/rdma_socket.h"
 #include "sockets/via_socket.h"
 
 namespace sv {
@@ -158,7 +157,7 @@ double rdma_pull_latency_us(std::uint64_t block, int iters) {
   return elapsed.us() / iters;
 }
 
-/// Socket-level one-way latency for either message socket.
+/// Socket-level one-way latency on either data path of the VIA socket.
 double socket_latency_us(bool use_rdma, std::uint64_t bytes, int iters,
                          const harness::ObsArtifacts& obs) {
   sim::Simulation s;
@@ -167,10 +166,9 @@ double socket_latency_us(bool use_rdma, std::uint64_t bytes, int iters,
   via::Nic nic0(&s, &cluster.node(0)), nic1(&s, &cluster.node(1));
   SimTime total;
   s.spawn("app", [&] {
-    sockets::SocketPair pair =
-        use_rdma ? sockets::RdmaPushSocket::make_pair(nic0, nic1)
-                 : sockets::DetailedViaSocket::make_pair(nic0, nic1);
-    auto& [a, b] = pair;
+    sockets::ViaSocketOptions opt;
+    if (use_rdma) opt.data_path = sockets::ViaDataPath::kRdmaWrite;
+    auto [a, b] = sockets::DetailedViaSocket::make_pair(nic0, nic1, opt);
     s.spawn("echo", [&s, b = std::move(b)]() mutable {
       while (auto m = b->recv()) b->send(*m);
     });

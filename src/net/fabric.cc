@@ -146,15 +146,7 @@ Result<std::optional<Message>> Pipe::recv_for(SimTime timeout) {
   return st_->delivered.recv_for(timeout);
 }
 
-std::size_t Pipe::pending() const { return st_->delivered.size(); }
-
-bool Pipe::closed() const { return st_->closed; }
-
 const CostModel& Pipe::model() const { return st_->model; }
-
-Node& Pipe::src() const { return *st_->src; }
-
-Node& Pipe::dst() const { return *st_->dst; }
 
 const std::string& Pipe::name() const { return st_->name; }
 

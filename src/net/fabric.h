@@ -91,17 +91,12 @@ class Pipe {
   /// Timed receive; ok(nullopt) means closed-and-drained, kTimeout means
   /// nothing was deliverable within `timeout` (<= 0 = wait forever).
   [[nodiscard]] Result<std::optional<Message>> recv_for(SimTime timeout);
-  /// Number of fully-delivered messages waiting in the receive queue.
-  [[nodiscard]] std::size_t pending() const;
 
   /// Closes the sending side; in-flight messages still deliver, then
   /// receivers see end-of-stream.
   void close();
-  [[nodiscard]] bool closed() const;
 
   [[nodiscard]] const CostModel& model() const;
-  [[nodiscard]] Node& src() const;
-  [[nodiscard]] Node& dst() const;
   [[nodiscard]] const std::string& name() const;
 
   /// Totals for reporting.

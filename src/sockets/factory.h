@@ -47,9 +47,6 @@ class SocketFactory {
   /// static-pool default). Benches use this to inspect RegCache state.
   mem::CopyPolicy* copy_policy(std::size_t node);
 
-  [[nodiscard]] Fidelity fidelity() const { return fidelity_; }
-  [[nodiscard]] net::Cluster& cluster() { return *cluster_; }
-
   /// Lazily-created per-node stacks (also usable directly by benches).
   tcpstack::TcpStack& tcp_stack(std::size_t node);
   via::Nic& via_nic(std::size_t node);

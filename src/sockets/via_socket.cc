@@ -17,7 +17,8 @@ DetailedViaSocket::DetailedViaSocket(std::shared_ptr<PairState> state,
     : state_(std::move(state)), side_(side) {
   const Side& me = mine();
   const Side& peer = state_->sides[static_cast<std::size_t>(1 - side_)];
-  init_obs(state_->sim, me.nic->node().id(), peer.nic->node().id(), "svia");
+  init_obs(state_->sim, me.nic->node().id(), peer.nic->node().id(),
+           state_->rdma() ? "rdma" : "svia");
 }
 
 SocketPair DetailedViaSocket::make_pair(via::Nic& a, via::Nic& b,
@@ -46,6 +47,10 @@ SocketPair DetailedViaSocket::make_pair(via::Nic& a, via::Nic& b,
   return {std::move(sa), std::move(sb)};
 }
 
+void DetailedViaSocket::PairState::bookkeeping(SimTime cost) {
+  if (!rdma()) sim->delay(cost);
+}
+
 void DetailedViaSocket::PairState::setup_side(int i, via::Nic& nic,
                                               std::shared_ptr<via::Vi> vi) {
   Side& s = sides[static_cast<std::size_t>(i)];
@@ -65,7 +70,13 @@ void DetailedViaSocket::PairState::setup_side(int i, via::Nic& nic,
   // descriptor regions, not per-message staging, and via::Nic charges them
   // to the registration ledger itself.
   s.send_region = nic.register_memory(options.chunk_bytes);  // svlint:allow(SV013)
-  s.recv_pool = nic.register_memory(options.chunk_bytes);  // svlint:allow(SV013)
+  if (rdma()) {
+    s.ring = nic.register_memory(  // svlint:allow(SV013)
+        static_cast<std::size_t>(options.chunk_bytes) * options.credits);
+  }
+  // Push-path receives only take notifications, which carry no data.
+  s.recv_pool = nic.register_memory(  // svlint:allow(SV013)
+      rdma() ? 64 : options.chunk_bytes);
   for (std::uint32_t k = 0; k < options.credits + control_slack; ++k) {
     post_one_recv(i);
   }
@@ -76,7 +87,7 @@ void DetailedViaSocket::PairState::post_one_recv(int i) {
   via::Descriptor d;
   d.region = s.recv_pool;
   d.offset = 0;
-  d.length = options.chunk_bytes;
+  d.length = rdma() ? 0 : options.chunk_bytes;
   s.vi->post_recv(std::move(d));
 }
 
@@ -122,12 +133,12 @@ void DetailedViaSocket::PairState::demux_loop(int i) {
       case kCont: {
         --me.pending_chunks;
         // Receiver-side socket bookkeeping delta over raw VIA.
-        sim->delay(SimTime::nanoseconds(100));
+        bookkeeping(SimTime::nanoseconds(100));
         ++me.consumed_since_credit;
         if (me.pending_chunks == 0) {
           // The message is complete; metadata comes from the peer's side
           // queue, in order.
-          sim->delay(SimTime::nanoseconds(250));
+          bookkeeping(SimTime::nanoseconds(250));
           if (peer.outgoing_meta.empty()) {
             throw std::logic_error("SocketVIA: data chunk without metadata");
           }
@@ -160,6 +171,7 @@ std::uint64_t DetailedViaSocket::credit_updates_sent() const {
 
 Result<void> DetailedViaSocket::send_for(net::Message m, SimTime timeout) {
   Side& me = mine();
+  const Side& peer = state_->sides[static_cast<std::size_t>(1 - side_)];
   if (me.send_closed) {
     throw std::logic_error("DetailedViaSocket::send after close");
   }
@@ -181,7 +193,7 @@ Result<void> DetailedViaSocket::send_for(net::Message m, SimTime timeout) {
   }
   // SocketVIA bookkeeping beyond raw VIA (buffer management, header build):
   // the calibrated delta between the SocketVIA and VIA profiles.
-  state_->sim->delay(SimTime::nanoseconds(250));
+  state_->bookkeeping(SimTime::nanoseconds(250));
 
   const std::uint64_t total = m.bytes;
   me.outgoing_meta.push_back(std::move(m));
@@ -211,8 +223,14 @@ Result<void> DetailedViaSocket::send_for(net::Message m, SimTime timeout) {
         i == 0 ? ((kFirst << kKindShift) |
                   (static_cast<std::uint32_t>(nchunks) & kValueMask))
                : (kCont << kKindShift);
+    if (state_->rdma()) {
+      d.op = via::Opcode::kRdmaWrite;
+      d.remote_handle = peer.ring->handle();
+      d.remote_offset = (me.next_slot++ % state_->options.credits) * chunk;
+      d.remote_notify = true;
+    }
     // Per-chunk socket-layer work (the per-segment calibration delta).
-    state_->sim->delay(SimTime::nanoseconds(100));
+    state_->bookkeeping(SimTime::nanoseconds(100));
     me.vi->post_send(std::move(d));
     // Reap send completions opportunistically to keep the CQ shallow.
     while (me.vi->send_cq().poll()) {

@@ -2,11 +2,22 @@
 //
 // Implements the design of the paper's substrate (see also Balaji et al.,
 // OSU-CISRC-1/03-TR05): each endpoint pre-registers and pre-posts a pool of
-// receive buffers; senders chunk messages and spend *credits* (one per
-// posted peer buffer) so a VIA send never arrives without a matching
-// receive descriptor; receivers return credits in batched credit-update
-// messages on the same VI. Message boundaries and kinds ride the VIA
-// immediate data. EOF is an in-band control message.
+// receive descriptors; senders chunk messages and spend *credits* so a
+// chunk never arrives without a matching receive descriptor; receivers
+// return credits in batched credit-update messages on the same VI. Message
+// boundaries and kinds ride the VIA immediate data. EOF is an in-band
+// control message.
+//
+// One credit protocol, two transfer verbs (ViaSocketOptions::data_path):
+//  - kSend, SocketVIA: each chunk is a two-sided send into a posted peer
+//    buffer, so a credit is a posted buffer, and the calibrated SocketVIA
+//    bookkeeping delta over raw VIA is charged per send, chunk and message.
+//  - kRdmaWrite, the push model the paper names as future work: each chunk
+//    is a one-sided RDMA write into a slot ring the peer registered, and
+//    RDMA-write-with-immediate is the notification (VIA spec semantics).
+//    A credit is a free ring slot. Data lands by DMA, only the dataless
+//    notifications consume receive descriptors, and no socket bookkeeping
+//    is charged, so a busy receiver host does not throttle the data path.
 //
 // All data and control messages are real via::Vi descriptors, so flow
 // control, credit traffic, and completion handling all cost simulated time
@@ -28,19 +39,28 @@
 
 namespace sv::sockets {
 
+/// How a data chunk reaches the peer.
+enum class ViaDataPath {
+  kSend,       // two-sided send into a posted peer buffer (SocketVIA)
+  kRdmaWrite,  // RDMA write into the peer's slot ring (the push model)
+};
+
 struct ViaSocketOptions {
-  /// Receive-pool chunk size; messages larger than this are chunked.
+  /// Chunk size (a receive buffer or a ring slot); larger messages are
+  /// chunked.
   std::uint64_t chunk_bytes = 16 * 1024;
-  /// Number of data credits (posted peer buffers). Window = credits*chunk.
+  /// Number of data credits (posted peer buffers or peer ring slots).
+  /// Window = credits*chunk.
   std::uint32_t credits = 8;
   /// Return credits after this many chunks are consumed.
   std::uint32_t credit_batch = 4;
+  ViaDataPath data_path = ViaDataPath::kSend;
 };
 
 class DetailedViaSocket final : public SvSocket {
  public:
-  /// Builds a connected SocketVIA pair over two NICs. Registers and posts
-  /// the buffer pools (costs time when called inside a process).
+  /// Builds a connected pair over two NICs. Registers and posts the buffer
+  /// pools (costs time when called inside a process).
   static SocketPair make_pair(via::Nic& a, via::Nic& b,
                               ViaSocketOptions options = {});
   ~DetailedViaSocket() override;
@@ -75,11 +95,14 @@ class DetailedViaSocket final : public SvSocket {
     via::Nic* nic = nullptr;
     std::shared_ptr<via::Vi> vi;
     std::shared_ptr<via::MemoryRegion> send_region;
+    /// Push path only: the slot ring the peer RDMA-writes into.
+    std::shared_ptr<via::MemoryRegion> ring;
     std::shared_ptr<via::MemoryRegion> recv_pool;
 
     // Sender state (this side sending to the peer).
     std::deque<net::Message> outgoing_meta;
     std::uint32_t credits = 0;
+    std::uint64_t next_slot = 0;  // push path: monotone peer-ring cursor
     sim::WaitQueue credit_wait;
     bool send_closed = false;
 
@@ -100,6 +123,13 @@ class DetailedViaSocket final : public SvSocket {
     ViaSocketOptions options;
     std::array<Side, 2> sides;
 
+    [[nodiscard]] bool rdma() const {
+      return options.data_path == ViaDataPath::kRdmaWrite;
+    }
+    /// Charges SocketVIA's calibrated bookkeeping delta over raw VIA. The
+    /// push path skips the delay altogether: a zero delay would still
+    /// schedule an event.
+    void bookkeeping(SimTime cost);
     void setup_side(int i, via::Nic& nic, std::shared_ptr<via::Vi> vi);
     void post_one_recv(int i);
     void send_control(int i, Kind kind, std::uint32_t value);

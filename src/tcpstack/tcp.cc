@@ -224,7 +224,7 @@ void TcpConnection::send_segment(std::uint64_t bytes, bool fin) {
               "unsent stream out of sync with unsent_bytes_");
     seg_payload = unsent_stream_.pop(bytes);
   }
-  unacked_.emplace(seq, SentSegment{bytes, fin, seg_payload});
+  unacked_.emplace(seq, HeldSegment{bytes, fin, seg_payload});
   c_segments_sent_->inc();
   if (fin) {
     fin_sent_ = true;
@@ -299,7 +299,7 @@ void TcpConnection::on_segment(std::uint64_t seq, std::uint64_t bytes,
     // A gap: hold for reassembly and emit an immediate duplicate ACK (the
     // signal fast retransmit counts). Fixed segment boundaries make the
     // map key collision-free; re-inserts of the same segment are no-ops.
-    ooo_segments_.emplace(seq, OooSegment{bytes, fin, std::move(payload)});
+    ooo_segments_.emplace(seq, HeldSegment{bytes, fin, std::move(payload)});
     c_ooo_->inc();
     send_ack_now();
     return;

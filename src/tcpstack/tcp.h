@@ -106,7 +106,6 @@ class TcpConnection {
   /// Half-closes the sending direction (FIN after all queued data).
   void close();
 
-  [[nodiscard]] bool send_closed() const { return fin_queued_; }
   // Statistics live in the simulation's obs::Registry under
   // `tcpstack.*{conn=<name>#<serial>}` (DESIGN.md §9); these accessors
   // forward to the registry counters.
@@ -143,21 +142,14 @@ class TcpConnection {
   [[nodiscard]] TcpStack& stack() const { return *stack_; }
   /// The remote endpoint's node (valid once connected).
   [[nodiscard]] net::Node& peer_node() const;
-  /// Bytes currently buffered and readable without blocking.
-  [[nodiscard]] std::uint64_t recv_buffered() const { return recv_buf_bytes_; }
-  [[nodiscard]] bool eof_received() const { return fin_received_; }
 
  private:
   friend class TcpStack;
 
-  // Sent/held segments keep a zero-copy view of their payload slice so
-  // retransmits and reassembly re-use the original storage (never copy).
-  struct SentSegment {
-    std::uint64_t bytes = 0;
-    bool fin = false;
-    mem::Payload payload{};
-  };
-  struct OooSegment {
+  // A sent-but-unacked or out-of-order held segment keeps a zero-copy view
+  // of its payload slice, so retransmits and reassembly re-use the
+  // original storage (never copy).
+  struct HeldSegment {
     std::uint64_t bytes = 0;
     bool fin = false;
     mem::Payload payload{};
@@ -203,7 +195,7 @@ class TcpConnection {
   std::uint64_t snd_nxt_ = 0;  // next sequence to assign
   /// Sent-but-unacked segments by starting sequence; boundaries are fixed
   /// at first transmission, so retransmits never partially overlap.
-  std::map<std::uint64_t, SentSegment> unacked_;
+  std::map<std::uint64_t, HeldSegment> unacked_;
   std::uint64_t unsent_bytes_ = 0;    // buffered, not yet segmented
   /// Payload views of the buffered-but-unsegmented stream, in order;
   /// always holds exactly unsent_bytes_ bytes.
@@ -228,7 +220,7 @@ class TcpConnection {
   // --- receive side ---
   std::uint64_t rcv_nxt_ = 0;  // next expected sequence
   /// Out-of-order segments held for reassembly, by starting sequence.
-  std::map<std::uint64_t, OooSegment> ooo_segments_;
+  std::map<std::uint64_t, HeldSegment> ooo_segments_;
   std::uint64_t recv_buf_bytes_ = 0;
   /// In-order delivered payload awaiting recv(); holds recv_buf_bytes_.
   mem::PayloadQueue recv_stream_;

@@ -18,10 +18,9 @@ const char* status_name(Status s) {
   return "?";
 }
 
-Vi::Vi(Nic* nic, std::uint64_t id, std::shared_ptr<CompletionQueue> send_cq,
+Vi::Vi(Nic* nic, std::shared_ptr<CompletionQueue> send_cq,
        std::shared_ptr<CompletionQueue> recv_cq)
     : nic_(nic),
-      id_(id),
       send_cq_(std::move(send_cq)),
       recv_cq_(std::move(recv_cq)) {}
 
@@ -101,8 +100,8 @@ std::shared_ptr<Vi> Nic::create_vi() {
 
 std::shared_ptr<Vi> Nic::create_vi(std::shared_ptr<CompletionQueue> send_cq,
                                    std::shared_ptr<CompletionQueue> recv_cq) {
-  auto vi = std::make_shared<Vi>(this, next_vi_id_++, std::move(send_cq),
-                                 std::move(recv_cq));
+  ++next_vi_id_;
+  auto vi = std::make_shared<Vi>(this, std::move(send_cq), std::move(recv_cq));
   vis_.push_back(vi);
   return vi;
 }

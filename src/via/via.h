@@ -119,7 +119,7 @@ class Nic;
 /// A connected Virtual Interface endpoint pair member.
 class Vi {
  public:
-  Vi(Nic* nic, std::uint64_t id, std::shared_ptr<CompletionQueue> send_cq,
+  Vi(Nic* nic, std::shared_ptr<CompletionQueue> send_cq,
      std::shared_ptr<CompletionQueue> recv_cq);
 
   /// Connects this VI to a remote VI (both directions set symmetrically by
@@ -134,17 +134,11 @@ class Vi {
 
   [[nodiscard]] CompletionQueue& send_cq() { return *send_cq_; }
   [[nodiscard]] CompletionQueue& recv_cq() { return *recv_cq_; }
-  [[nodiscard]] std::size_t recv_queue_depth() const {
-    return recv_queue_.size();
-  }
-  [[nodiscard]] std::uint64_t id() const { return id_; }
-  [[nodiscard]] Nic& nic() { return *nic_; }
 
  private:
   friend class Nic;
 
   Nic* nic_;
-  std::uint64_t id_;
   Vi* peer_ = nullptr;
   std::shared_ptr<CompletionQueue> send_cq_;
   std::shared_ptr<CompletionQueue> recv_cq_;
@@ -179,7 +173,6 @@ class Nic {
 
   [[nodiscard]] sim::Simulation& sim() { return *sim_; }
   [[nodiscard]] net::Node& node() { return *node_; }
-  [[nodiscard]] const net::CostModel& model() const { return model_; }
   [[nodiscard]] std::uint64_t sends_completed() const {
     return sends_completed_;
   }

@@ -7,10 +7,10 @@
 // (events_fired, trace_digest) pair is committed to
 // tests/integration/digest_pins.txt; the paper-experiment pins were
 // captured on the original std::priority_queue engine *before* the
-// timing-wheel queue swap. The test recomputes every
-// workload on the current engine — on *both* queue implementations — and
-// asserts bit-identical digests, so the determinism contract survives queue
-// and allocator optimizations mechanically, not by review.
+// timing-wheel queue swap. The test recomputes every workload on the
+// current engine — on *both* queue implementations — and asserts
+// bit-identical digests, so the determinism contract survives queue and
+// allocator optimizations mechanically, not by review.
 //
 // Regenerate (only for deliberate, understood schedule changes):
 //   ./build/tests/digest_pins_test --update-pins
@@ -32,7 +32,6 @@
 #include "net/cluster.h"
 #include "sim/simulation.h"
 #include "sockets/factory.h"
-#include "sockets/rdma_socket.h"
 #include "sockets/via_socket.h"
 #include "via/via.h"
 #include "vizapp/loadbalance.h"
@@ -141,21 +140,12 @@ PinnedRun via_credit_stream(sim::QueueKind kind, bool rdma) {
   via::Nic nic0(&s, &cluster.node(0));
   via::Nic nic1(&s, &cluster.node(1));
   s.spawn("app", [&] {
-    sockets::SocketPair pair;
-    if (rdma) {
-      sockets::RdmaSocketOptions opt;
-      opt.slot_bytes = 4096;
-      opt.ring_slots = 2;
-      opt.credit_batch = 1;
-      pair = sockets::RdmaPushSocket::make_pair(nic0, nic1, opt);
-    } else {
-      sockets::ViaSocketOptions opt;
-      opt.chunk_bytes = 4096;
-      opt.credits = 2;
-      opt.credit_batch = 1;
-      pair = sockets::DetailedViaSocket::make_pair(nic0, nic1, opt);
-    }
-    auto& [a, b] = pair;
+    sockets::ViaSocketOptions opt;
+    opt.chunk_bytes = 4096;
+    opt.credits = 2;
+    opt.credit_batch = 1;
+    if (rdma) opt.data_path = sockets::ViaDataPath::kRdmaWrite;
+    auto [a, b] = sockets::DetailedViaSocket::make_pair(nic0, nic1, opt);
     s.spawn("rx", [b = std::move(b)]() mutable {
       while (b->recv()) {
       }

@@ -24,7 +24,7 @@
 #include "net/fault.h"
 #include "obs/trace.h"
 #include "sockets/factory.h"
-#include "sockets/rdma_socket.h"
+#include "sockets/via_socket.h"
 #include "via/via.h"
 
 #ifndef SV_GOLDEN_DIR
@@ -142,7 +142,8 @@ std::string trace_rdma_push_chunk_stream() {
   via::Nic nic0(&s, &cluster.node(0));
   via::Nic nic1(&s, &cluster.node(1));
   s.spawn("app", [&] {
-    auto [a, b] = sockets::RdmaPushSocket::make_pair(nic0, nic1);
+    auto [a, b] = sockets::DetailedViaSocket::make_pair(
+        nic0, nic1, {.data_path = sockets::ViaDataPath::kRdmaWrite});
     s.spawn("rx", [&, b = std::move(b)]() mutable {
       while (b->recv()) {
       }

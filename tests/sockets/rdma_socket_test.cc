@@ -1,5 +1,5 @@
-#include "sockets/rdma_socket.h"
-
+// The detailed VIA socket on its RDMA push data path
+// (ViaDataPath::kRdmaWrite).
 #include <gtest/gtest.h>
 
 #include "sockets/via_socket.h"
@@ -8,6 +8,12 @@ namespace sv::sockets {
 namespace {
 
 using namespace sv::literals;
+
+ViaSocketOptions push_options() {
+  ViaSocketOptions opt;
+  opt.data_path = ViaDataPath::kRdmaWrite;
+  return opt;
+}
 
 struct Fixture {
   sim::Simulation s;
@@ -20,7 +26,8 @@ TEST(RdmaPushSocketTest, DeliversMessagesInOrder) {
   Fixture f;
   std::vector<std::uint64_t> tags;
   f.s.spawn("app", [&] {
-    auto [a, b] = RdmaPushSocket::make_pair(f.nic0, f.nic1);
+    auto [a, b] = DetailedViaSocket::make_pair(f.nic0, f.nic1,
+                                                push_options());
     f.s.spawn("rx", [&, b = std::move(b)]() mutable {
       while (auto m = b->recv()) tags.push_back(m->tag);
     });
@@ -36,13 +43,13 @@ TEST(RdmaPushSocketTest, DeliversMessagesInOrder) {
 
 TEST(RdmaPushSocketTest, MultiSlotMessagesRespectRingDepth) {
   Fixture f;
-  RdmaSocketOptions opt;
-  opt.slot_bytes = 4096;
-  opt.ring_slots = 2;
+  ViaSocketOptions opt = push_options();
+  opt.chunk_bytes = 4096;
+  opt.credits = 2;
   opt.credit_batch = 1;
   std::uint64_t received = 0;
   f.s.spawn("app", [&] {
-    auto [a, b] = RdmaPushSocket::make_pair(f.nic0, f.nic1, opt);
+    auto [a, b] = DetailedViaSocket::make_pair(f.nic0, f.nic1, opt);
     f.s.spawn("rx", [&, b = std::move(b)]() mutable {
       while (auto m = b->recv()) received += m->bytes;
     });
@@ -59,28 +66,29 @@ TEST(RdmaPushSocketTest, SlotsReturnAtQuiescence) {
   Fixture f;
   std::uint32_t slots_after = 0;
   f.s.spawn("app", [&] {
-    auto [a, b] = RdmaPushSocket::make_pair(f.nic0, f.nic1);
-    auto* sender = dynamic_cast<RdmaPushSocket*>(a.get());
+    auto [a, b] = DetailedViaSocket::make_pair(f.nic0, f.nic1,
+                                                push_options());
+    auto* sender = dynamic_cast<DetailedViaSocket*>(a.get());
     f.s.spawn("rx", [&, b = std::move(b)]() mutable {
       for (int i = 0; i < 8; ++i) b->recv();
     });
     for (int i = 0; i < 8; ++i) a->send(net::Message{.bytes = 16_KiB});
     f.s.delay(5_ms);  // 8 x 16 KiB at ~99 MB/s plus credit returns
-    slots_after = sender->available_slots();
+    slots_after = sender->available_credits();
   });
   f.s.run();
-  EXPECT_EQ(slots_after, RdmaSocketOptions{}.ring_slots);
+  EXPECT_EQ(slots_after, ViaSocketOptions{}.credits);
 }
 
 TEST(RdmaPushSocketTest, RejectsBadOptions) {
   Fixture f;
-  RdmaSocketOptions opt;
-  opt.ring_slots = 0;
-  EXPECT_THROW(RdmaPushSocket::make_pair(f.nic0, f.nic1, opt),
+  ViaSocketOptions opt = push_options();
+  opt.credits = 0;
+  EXPECT_THROW(DetailedViaSocket::make_pair(f.nic0, f.nic1, opt),
                std::invalid_argument);
-  opt.ring_slots = 2;
+  opt.credits = 2;
   opt.credit_batch = 3;
-  EXPECT_THROW(RdmaPushSocket::make_pair(f.nic0, f.nic1, opt),
+  EXPECT_THROW(DetailedViaSocket::make_pair(f.nic0, f.nic1, opt),
                std::invalid_argument);
 }
 
@@ -94,8 +102,8 @@ TEST(RdmaPushSocketTest, LowerSmallMessageLatencyThanTwoSided) {
     via::Nic nic0(&s, &cluster.node(0)), nic1(&s, &cluster.node(1));
     SimTime t;
     s.spawn("app", [&] {
-      SocketPair pair = use_rdma ? RdmaPushSocket::make_pair(nic0, nic1)
-                                 : DetailedViaSocket::make_pair(nic0, nic1);
+      SocketPair pair = DetailedViaSocket::make_pair(
+          nic0, nic1, use_rdma ? push_options() : ViaSocketOptions{});
       auto& [a, b] = pair;
       const SimTime t0 = s.now();
       s.spawn("rx", [&s, &t, t0, b = std::move(b)]() mutable {

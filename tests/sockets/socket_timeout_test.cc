@@ -1,8 +1,8 @@
 // Timed socket operations across every transport: recv_for deadlines,
 // EOF-vs-timeout distinction, stall detection on the send side —
-// window stall (fast fabric), credit stall (SocketVIA), slot stall
-// (RDMA push), and an un-ACKing peer (detailed TCP) — and a deadline that
-// never trips behaving exactly like no deadline.
+// window stall (fast fabric), credit stall (SocketVIA and its RDMA push
+// path, where a credit is a ring slot), and an un-ACKing peer (detailed
+// TCP) — and a deadline that never trips behaving exactly like no deadline.
 #include "sockets/socket.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "datacutter/local_socket.h"
 #include "net/fault.h"
 #include "sockets/factory.h"
-#include "sockets/rdma_socket.h"
 #include "sockets/tcp_socket.h"
 #include "sockets/via_socket.h"
 
@@ -157,11 +156,12 @@ TEST(SocketTimeoutTest, RdmaSlotStallTimesOut) {
   bool reached_end = false;
   SimTime failed_at;
   s.spawn("app", [&] {
-    RdmaSocketOptions opt;
-    opt.slot_bytes = 4096;
-    opt.ring_slots = 2;
+    ViaSocketOptions opt;
+    opt.chunk_bytes = 4096;
+    opt.credits = 2;
     opt.credit_batch = 1;
-    auto [a, b] = RdmaPushSocket::make_pair(nic0, nic1, opt);
+    opt.data_path = ViaDataPath::kRdmaWrite;
+    auto [a, b] = DetailedViaSocket::make_pair(nic0, nic1, opt);
     s.delay(20_us);
     auto r = a->send_for(net::Message{.bytes = 3 * 4096}, 5_ms);
     failed_at = s.now();
@@ -338,7 +338,8 @@ TEST(SocketTimeoutTest, UntrippedDeadlineMatchesNoDeadline) {
          auto& nics = owner.nics;
          nics.push_back(std::make_unique<via::Nic>(&s, &cluster.node(0)));
          nics.push_back(std::make_unique<via::Nic>(&s, &cluster.node(1)));
-         return RdmaPushSocket::make_pair(*nics[0], *nics[1]);
+         return DetailedViaSocket::make_pair(
+             *nics[0], *nics[1], {.data_path = ViaDataPath::kRdmaWrite});
        }},
       {"DataCutter local",
        [](sim::Simulation& s, net::Cluster& cluster, PairOwner&) {
