@@ -1,6 +1,7 @@
 #include "net/fabric.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace sv::net {
@@ -19,6 +20,7 @@ Pipe::State::State(sim::Simulation* sim_in, Node* src_in, Node* dst_in,
       delivered(sim_in, 0, name + ".delivered_q") {
   topo = src->topology();
   if (topo != nullptr) {
+    route = topo->route(src->id(), dst->id());
     fabric_latency = topo->path_latency(src->id(), dst->id());
   }
   obs::Registry& reg = sim->obs().registry;
@@ -47,13 +49,13 @@ Pipe::Pipe(sim::Simulation* sim, Node* src, Node* dst,
            CalibrationProfile profile, std::string name)
     : st_(std::make_shared<State>(sim, src, dst, std::move(profile),
                                   std::move(name))) {
-  sim->spawn(st_->name + ".wire", [st = st_] { st->wire_loop(); });
-  sim->spawn(st_->name + ".proto", [st = st_] { st->proto_loop(); });
+  sim->start(State::wire_stage(st_));
+  sim->start(State::proto_stage(st_));
 }
 
 Pipe::~Pipe() {
-  // Stop intake and wake any blocked receiver; the stage processes co-own
-  // the state and wind down on their own. to_proto stays open so in-flight
+  // Stop intake and wake any blocked receiver; the stage frames co-own the
+  // state and wind down on their own. to_proto stays open so in-flight
   // propagation events can still land safely.
   st_->closed = true;
   st_->to_wire.close();
@@ -160,80 +162,111 @@ std::uint64_t Pipe::frames_retransmitted() const {
   return st_->c_frames_retx->value();
 }
 
-void Pipe::State::wire_loop() {
-  while (auto f = to_wire.recv()) {
+sim::Stage Pipe::State::wire_stage(std::shared_ptr<State> self) {
+  State& st = *self;
+  sim::Simulation& sim = *st.sim;
+  sim::Resource& link_in = st.dst->link_in();
+  while (true) {
+    while (st.to_wire.empty() && !st.to_wire.closed()) {
+      co_await st.to_wire.readable();
+    }
+    std::optional<Frame> f = st.to_wire.try_recv();
+    if (!f) co_return;
     const bool eof = f->eof;
     // Inbound link / DMA occupancy at the destination (EOF is free).
     if (!eof) {
-      const SimTime wire_start = sim->now();
-      // Cross the switch fabric first (queueing on shared uplinks), then
-      // occupy the destination's inbound link / DMA path.
-      if (topo != nullptr) topo->traverse(src->id(), dst->id(), f->bytes);
-      dst->link_in().use(model.wire_time(f->bytes));
-      if (FaultInjector* inj = src->fault_injector()) {
-        FaultDecision d = inj->on_frame(src->id(), dst->id());
-        while (d.drop) {
-          // Lost on the wire. The fast fabric models the transport *after*
-          // recovery, so charge the recovery pause plus a full re-crossing
-          // and keep delivery reliable and in-order.
-          c_frames_retx->inc();
-          c_frames_retx_total->inc();
-          sim->obs().tracer.instant(sim->now(), dst->id(), "fabric", "retx",
-                                    f->bytes);
-          sim->delay(d.recovery_delay);
-          if (topo != nullptr) topo->traverse(src->id(), dst->id(), f->bytes);
-          dst->link_in().use(model.wire_time(f->bytes));
-          d = inj->on_frame(src->id(), dst->id());
+      const SimTime wire_start = sim.now();
+      FaultInjector* const inj = st.src->fault_injector();
+      FaultDecision d;
+      while (true) {
+        // Cross the switch fabric first (queueing on shared uplinks), then
+        // occupy the destination's inbound link / DMA path.
+        for (std::uint32_t i = 0; i < st.route.hops; ++i) {
+          const Topology::Link& l = st.topo->link(st.route.link[i]);
+          const SimTime t0 = sim.now();
+          co_await l.res->acquire_stage();
+          const SimTime waited = sim.now() - t0;
+          const SimTime hold = l.per_byte.for_bytes(f->bytes);
+          if (hold > SimTime::zero()) co_await sim.sleep(hold);
+          l.res->release();
+          l.c_frames->inc();
+          l.c_bytes->inc(f->bytes);
+          l.c_busy_ns->inc(static_cast<std::uint64_t>(hold.ns()));
+          l.c_wait_ns->inc(static_cast<std::uint64_t>(waited.ns()));
         }
-        // Jitter is occupancy on this stage (not added propagation) so
-        // frames cannot reorder; the pipe's in-order contract holds.
-        if (d.extra_delay > SimTime::zero()) sim->delay(d.extra_delay);
+        co_await link_in.acquire_stage();
+        co_await sim.sleep(st.model.wire_time(f->bytes));
+        link_in.release();
+        if (inj == nullptr) break;
+        d = inj->on_frame(st.src->id(), st.dst->id());
+        if (!d.drop) break;
+        // Lost on the wire. The fast fabric models the transport *after*
+        // recovery, so charge the recovery pause plus a full re-crossing
+        // and keep delivery reliable and in-order.
+        st.c_frames_retx->inc();
+        st.c_frames_retx_total->inc();
+        sim.obs().tracer.instant(sim.now(), st.dst->id(), "fabric", "retx",
+                                 f->bytes);
+        co_await sim.sleep(d.recovery_delay);
       }
-      const SimTime wire_end = sim->now();
-      c_wire_ns_link->inc(static_cast<std::uint64_t>(
+      // Jitter is occupancy on this stage (not added propagation) so
+      // frames cannot reorder; the pipe's in-order contract holds.
+      if (d.extra_delay > SimTime::zero()) co_await sim.sleep(d.extra_delay);
+      const SimTime wire_end = sim.now();
+      st.c_wire_ns_link->inc(static_cast<std::uint64_t>(
           (wire_end - wire_start).ns()));
-      sim->obs().tracer.span(wire_start, wire_end, dst->id(), "fabric",
-                             "wire", f->bytes);
+      sim.obs().tracer.span(wire_start, wire_end, st.dst->id(), "fabric",
+                            "wire", f->bytes);
     }
     // Propagation is latency, not occupancy: hand off without blocking this
     // stage so back-to-back frames overlap their flight time. EOF takes the
     // same path so it cannot overtake the final data frame. The delay is
     // fixed per pipe, so arrivals fire in push order and each takes the
     // oldest frame in flight. to_proto is unbounded, so the event-context
-    // send cannot block. The event co-owns the state via shared_ptr (safe
-    // across Pipe destruction).
-    propagating.push_back(std::move(*f));
-    sim->schedule(profile.propagation + fabric_latency,
-                  [self = shared_from_this()] {
-                    self->to_proto.send(std::move(self->propagating.front()));
-                    self->propagating.pop_front();
-                  });
-    if (eof) break;
+    // send cannot block. The event co-owns the state (safe across Pipe
+    // destruction).
+    st.propagating.push_back(std::move(*f));
+    sim.schedule(st.profile.propagation + st.fabric_latency, [self] {
+      self->to_proto.send(std::move(self->propagating.front()));
+      self->propagating.pop_front();
+    });
+    if (eof) co_return;
   }
 }
 
-void Pipe::State::proto_loop() {
-  while (auto f = to_proto.recv()) {
+sim::Stage Pipe::State::proto_stage(std::shared_ptr<State> self) {
+  State& st = *self;
+  sim::Simulation& sim = *st.sim;
+  sim::Resource& rx_proto = st.dst->rx_proto();
+  while (true) {
+    while (st.to_proto.empty() && !st.to_proto.closed()) {
+      co_await st.to_proto.readable();
+    }
+    std::optional<Frame> f = st.to_proto.try_recv();
+    if (!f) co_return;
     if (f->eof) {
-      if (!delivered.closed()) delivered.close();
-      break;
+      if (!st.delivered.closed()) st.delivered.close();
+      co_return;
     }
     // Receiver-side protocol processing (the kernel-TCP bottleneck).
-    const SimTime rx_start = sim->now();
-    dst->rx_proto().use(recv_frame_time(*f));
-    sim->obs().tracer.span(rx_start, sim->now(), dst->id(), "fabric",
-                           "rx_proto", f->bytes);
-    c_frame_bytes_recv_link->inc(f->bytes);
+    const SimTime rx_start = sim.now();
+    co_await rx_proto.acquire_stage();
+    co_await sim.sleep(st.recv_frame_time(*f));
+    rx_proto.release();
+    sim.obs().tracer.span(rx_start, sim.now(), st.dst->id(), "fabric",
+                          "rx_proto", f->bytes);
+    st.c_frame_bytes_recv_link->inc(f->bytes);
     // Return window credit.
-    in_flight_bytes -= f->bytes;
-    g_in_flight_link->add(-static_cast<std::int64_t>(f->bytes));
-    window_waiters.notify_all();
+    st.in_flight_bytes -= f->bytes;
+    st.g_in_flight_link->add(-static_cast<std::int64_t>(f->bytes));
+    st.window_waiters.notify_all();
     if (f->last) {
-      f->msg.delivered_at = sim->now();
-      c_msgs_recv_total->inc();
-      h_msg_latency->observe((f->msg.delivered_at - f->msg.sent_at).ns());
-      if (!delivered.closed()) {
-        delivered.send(std::move(f->msg));
+      f->msg.delivered_at = sim.now();
+      st.c_msgs_recv_total->inc();
+      st.h_msg_latency->observe((f->msg.delivered_at - f->msg.sent_at).ns());
+      // delivered is unbounded, so this send never blocks the stage.
+      if (!st.delivered.closed()) {
+        st.delivered.send(std::move(f->msg));
       }
     }
   }

@@ -4,8 +4,15 @@
 // by a CalibrationProfile. Each message is split into pipeline frames that
 // cross three stages:
 //
-//   sender thread --(window)--> [tx_host] --> wire proc [link_in @ dst]
-//        --propagation--> proto proc [rx_proto @ dst] --> receive queue
+//   sending process --(window)--> [tx_host] --> wire stage [fabric hops,
+//        link_in @ dst] --propagation event--> proto stage [rx_proto @ dst]
+//        --> receive queue
+//
+// The wire and protocol stages are sim::Stage coroutines (sim/stage.h), not
+// processes: a pipe owns no fiber stack, and a stage hop costs a coroutine
+// resume instead of a fiber round trip. Each stage schedules exactly the
+// events a process running the same loop would (DESIGN.md §5.2), so every
+// event keeps its (time, id).
 //
 // Stage occupancy uses the per-node shared resources from cluster.h, so
 // concurrent connections contend realistically (the mechanism behind the
@@ -15,10 +22,10 @@
 // send_for(), whose window wait takes a deadline; send() is send_for()
 // with no deadline.
 //
-// Lifetime: the internal stage processes co-own the pipe state, so a Pipe
-// handle may be destroyed at any simulated time; in-flight work finishes
-// against the shared state and the processes wind down. Nodes and the
-// Simulation must outlive message flow.
+// Lifetime: the stage frames co-own the pipe state, so a Pipe handle may be
+// destroyed at any simulated time; in-flight work finishes against the
+// shared state and the stages wind down. Nodes and the Simulation must
+// outlive message flow.
 #pragma once
 
 #include <any>
@@ -64,8 +71,8 @@ struct Message {
 
 class Pipe {
  public:
-  /// Creates a connected pipe from `src` to `dst`. Spawns the two internal
-  /// stage processes. The Simulation must outlive all message flow.
+  /// Creates a connected pipe from `src` to `dst`. Starts the wire stage,
+  /// then the protocol stage. The Simulation must outlive all message flow.
   Pipe(sim::Simulation* sim, Node* src, Node* dst, CalibrationProfile profile,
        std::string name);
   ~Pipe();
@@ -116,16 +123,20 @@ class Pipe {
     Message msg;  // populated on the last frame of each message
   };
 
-  /// All mutable pipe state, co-owned by the stage processes so the Pipe
-  /// handle can be destroyed while work is still in flight.
-  struct State : std::enable_shared_from_this<State> {
+  /// All mutable pipe state, co-owned by the two stage frames (and the
+  /// propagation events) so the Pipe handle can be destroyed while work is
+  /// still in flight.
+  struct State {
     State(sim::Simulation* sim_in, Node* src_in, Node* dst_in,
           CalibrationProfile profile_in, std::string name_in);
 
     [[nodiscard]] SimTime sender_frame_time(const Frame& f) const;
     [[nodiscard]] SimTime recv_frame_time(const Frame& f) const;
-    void wire_loop();
-    void proto_loop();
+    /// The wire stage: per frame, the fabric hops, link_in and any fault
+    /// recovery, then the propagation hand-off to the protocol stage.
+    static sim::Stage wire_stage(std::shared_ptr<State> self);
+    /// The protocol stage: rx_proto per frame, window credit, delivery.
+    static sim::Stage proto_stage(std::shared_ptr<State> self);
 
     sim::Simulation* sim;
     Node* src;
@@ -134,10 +145,11 @@ class Pipe {
     CostModel model;
     std::string name;
     /// Switch fabric between src and dst (nullptr = single crossbar). The
-    /// wire stage traverses the routed path before the destination's
-    /// link_in, and `fabric_latency` (path hops * hop latency, fixed per
-    /// pipe since routing is deterministic) extends propagation.
+    /// wire stage walks `route` (computed once: routing is pure) before the
+    /// destination's link_in, and `fabric_latency` (path hops * hop
+    /// latency) extends propagation.
     Topology* topo = nullptr;
+    Topology::Path route{};
     SimTime fabric_latency{};
 
     std::uint64_t next_seq = 0;

@@ -260,23 +260,6 @@ SimTime Topology::path_latency(int src, int dst) const {
          static_cast<std::int64_t>(route(src, dst).hops);
 }
 
-void Topology::traverse(int src, int dst, std::uint64_t bytes) {
-  const Path p = route(src, dst);
-  for (std::uint32_t i = 0; i < p.hops; ++i) {
-    Link& l = *links_[p.link[i]];
-    const SimTime t0 = sim_->now();
-    l.res->acquire();
-    const SimTime waited = sim_->now() - t0;
-    const SimTime hold = l.per_byte.for_bytes(bytes);
-    if (hold > SimTime::zero()) sim_->delay(hold);
-    l.res->release();
-    l.c_frames->inc();
-    l.c_bytes->inc(bytes);
-    l.c_busy_ns->inc(static_cast<std::uint64_t>(hold.ns()));
-    l.c_wait_ns->inc(static_cast<std::uint64_t>(waited.ns()));
-  }
-}
-
 double Topology::edge_uplink_bytes_per_sec(int e) const {
   switch (spec_.kind) {
     case TopologyKind::kSingleCrossbar:

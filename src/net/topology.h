@@ -32,8 +32,12 @@
 // (spec, node_count) route identically (tests/net/topology_test.cc).
 //
 // Layering: Topology lives below Cluster (cluster.h hands each Node a
-// pointer) and is consulted by net::Pipe's wire stage, which traverses the
-// routed path *before* charging the destination host's link_in.
+// pointer) and is consulted by net::Pipe, which routes each pipe once. Its
+// wire stage walks that path per frame *before* charging the destination
+// host's link_in: it FIFO-acquires each link, holds it for the frame's
+// serialization time and releases it, bumping the link's four counters.
+// That hop walk is where uplink contention and incast queueing physically
+// happen.
 #pragma once
 
 #include <cstdint>
@@ -144,12 +148,6 @@ class Topology {
 
   /// Extra propagation latency of the routed path (hops * hop_latency).
   [[nodiscard]] SimTime path_latency(int src, int dst) const;
-
-  /// Charges every link on route(src, dst), in order: FIFO-acquires the
-  /// link, holds it for the frame's serialization time, releases. Must run
-  /// inside a simulated process (net::Pipe's wire stage). This is where
-  /// uplink contention and incast queueing physically happen.
-  void traverse(int src, int dst, std::uint64_t bytes);
 
   /// Aggregate uplink bandwidth leaving edge switch `e`, in bytes/second
   /// (fat-tree: the pod's agg→core tier, attributed evenly across the

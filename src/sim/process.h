@@ -1,11 +1,14 @@
 // A simulated process: user code that runs on its own fiber — a fixed-size
 // stack of its own, switched to and from in user space on the simulation's
-// one OS thread. Scheduling is cooperative: exactly one process (or the
-// scheduler) executes at any instant, so simulation state needs no locking
-// and runs are deterministic. DESIGN.md §5 states the fiber contract.
+// one OS thread. Scheduling is cooperative: exactly one process or stage
+// (stage.h) executes at any instant, or the scheduler does, so simulation
+// state needs no locking and runs are deterministic. DESIGN.md §5 states
+// the fiber contract.
 //
 // Processes block inside simulated primitives (delay, channels, resources);
 // the scheduler resumes them when the corresponding simulated event fires.
+// A loop that only ever blocks in delay, a resource acquire or a wait queue
+// can instead be a stage, which needs no stack of its own.
 #pragma once
 
 #include <cstddef>

@@ -33,7 +33,7 @@ void Resource::acquire() {
               "Resource[" + name_ + "]: holders exceed capacity");
     return;
   }
-  waiters_.push_back(p);
+  waiters_.push_back(Blocked{.proc = p});
   sim_->block_current(name_.c_str());
   // Direct handoff: release() transferred the unit to us before waking, so
   // in_use_ already counts this holder. Nothing to re-check.
@@ -56,9 +56,9 @@ void Resource::release() {
             "Resource[" + name_ + "]::release with none held (double release?)");
   if (!waiters_.empty()) {
     // Transfer the unit directly to the oldest waiter; in_use_ is unchanged.
-    Process* next = waiters_.front();
+    const Blocked next = waiters_.front();
     waiters_.pop_front();
-    sim_->wake(*next);
+    sim_->wake(next);
     return;
   }
   account();
@@ -74,13 +74,6 @@ void Resource::use(SimTime hold) {
 std::int64_t Resource::busy_ns() const {
   const SimTime now = sim_->now();
   return busy_integral_ns_ + in_use_ * (now - last_change_).ns();
-}
-
-double Resource::utilization(SimTime window_start, SimTime window_end) const {
-  const auto span = (window_end - window_start).ns();
-  if (span <= 0) return 0.0;
-  return static_cast<double>(busy_ns()) /
-         static_cast<double>(span * capacity_);
 }
 
 }  // namespace sv::sim

@@ -3,7 +3,8 @@
 // Resource hands units to waiters in strict FIFO order with direct handoff
 // (a released unit goes straight to the oldest waiter and cannot be stolen
 // by a later arrival at the same timestamp), which is what a work-conserving
-// hardware queue does and keeps the simulation deterministic.
+// hardware queue does and keeps the simulation deterministic. Processes and
+// stages queue in the same FIFO: a stage awaits acquire_stage().
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,26 @@ class Resource {
   void acquire();
   /// Non-blocking; true on success.
   bool try_acquire();
+
+  /// The stage form of acquire(): when try_acquire() would succeed the
+  /// stage takes the unit at once, with no event; otherwise it joins the
+  /// FIFO, and release() hands it the unit and schedules one zero-delay
+  /// event, as it does for a process.
+  class Acquire {
+   public:
+    [[nodiscard]] bool await_ready() const { return res_->try_acquire(); }
+    void await_suspend(Stage::Handle stage) const {
+      res_->waiters_.push_back(Blocked{.stage = stage});
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    friend class Resource;
+    explicit Acquire(Resource* res) : res_(res) {}
+    Resource* res_;
+  };
+  [[nodiscard]] Acquire acquire_stage() { return Acquire(this); }
+
   /// Returns a unit; if someone is waiting, the unit transfers directly.
   void release();
   /// acquire(); delay(hold); release() — the common "occupy for t" pattern.
@@ -36,8 +57,6 @@ class Resource {
 
   /// Cumulative busy integral (unit-nanoseconds) for utilization reporting.
   [[nodiscard]] std::int64_t busy_ns() const;
-  [[nodiscard]] double utilization(SimTime window_start,
-                                   SimTime window_end) const;
 
  private:
   void account();
@@ -46,7 +65,7 @@ class Resource {
   std::int64_t capacity_;
   std::string name_;
   std::int64_t in_use_ = 0;
-  RingFifo<Process*> waiters_;
+  RingFifo<Blocked> waiters_;
 
   // Busy-time accounting.
   mutable SimTime last_change_ = SimTime::zero();

@@ -20,6 +20,12 @@ Simulation::~Simulation() {
       resume(*processes_[i]);
     }
   }
+  // Suspended stages are never resumed again: destroying a frame runs the
+  // destructors of its locals and parameters, which is a stage's unwinding.
+  // Index loop, as above.
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    if (stages_[i]) stages_[i].destroy();
+  }
 }
 
 Process& Simulation::spawn_impl(std::string name, std::function<void()> body) {
@@ -28,6 +34,24 @@ Process& Simulation::spawn_impl(std::string name, std::function<void()> body) {
   Process* p = processes_.back().get();
   engine_.schedule(SimTime::zero(), [this, p] { resume(*p); });
   return *p;
+}
+
+void Simulation::start(Stage stage) {
+  stage.frame_.promise().slot = stages_.size();
+  stages_.push_back(stage.frame_);
+  const Stage::Handle frame = std::exchange(stage.frame_, {});
+  engine_.schedule(SimTime::zero(), [this, frame] { resume(frame); });
+}
+
+void Simulation::resume(Stage::Handle stage) {
+  SV_DCHECK(current_ == nullptr, "a stage resumed inside a process");
+  stage.resume();
+  if (!stage.done()) return;
+  Stage::promise_type& promise = stage.promise();
+  const std::exception_ptr err = std::exchange(promise.error, nullptr);
+  stages_[promise.slot] = nullptr;
+  stage.destroy();
+  if (err) std::rethrow_exception(err);
 }
 
 void Simulation::resume(Process& p) {
@@ -72,6 +96,13 @@ void Simulation::delay(SimTime d) {
   check_current_killed();
 }
 
+Simulation::Sleep Simulation::sleep(SimTime d) {
+  if (d < SimTime::zero()) {
+    throw std::invalid_argument("Simulation::sleep: negative duration");
+  }
+  return Sleep(this, d);
+}
+
 void Simulation::block_current(const char* reason) {
   Process* p = current_;
   if (p == nullptr) {
@@ -95,6 +126,12 @@ void Simulation::wake(Process& p) {
   // through the event queue to preserve deterministic ordering.
   p.blocked_ = false;
   engine_.schedule(SimTime::zero(), [this, &p] { resume(p); });
+}
+
+void Simulation::wake(Stage::Handle stage) {
+  // As for a process: during shutdown the frame may already be destroyed.
+  if (shutting_down_) return;
+  engine_.schedule(SimTime::zero(), [this, stage] { resume(stage); });
 }
 
 namespace {

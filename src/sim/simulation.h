@@ -1,14 +1,16 @@
-// Simulation: the facade tying the event engine to simulated processes.
+// Simulation: the facade tying the event engine to simulated processes and
+// stages.
 //
 // Usage:
 //   sim::Simulation s;
 //   s.spawn("producer", [&] { s.delay(5_us); ch.send(42); });
 //   s.spawn("consumer", [&] { int v = ch.recv(); });
+//   s.start(relay(&s, &ch, &cpu));  // a stage (stage.h)
 //   s.run();
 //
-// Only one process runs at a time; all simulation state is single-threaded.
-// Spawning, scheduling and waking are legal both from processes and from
-// plain event handlers.
+// Only one process or stage runs at a time; all simulation state is
+// single-threaded. Spawning, starting, scheduling and waking are legal from
+// processes, stages and plain event handlers.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +22,17 @@
 #include "common/units.h"
 #include "sim/engine.h"
 #include "sim/process.h"
+#include "sim/stage.h"
 
 namespace sv::sim {
+
+/// An entry of a waiter FIFO (WaitQueue, Resource): a blocked process or a
+/// suspended stage. Simulation::wake resumes either through one zero-delay
+/// event.
+struct Blocked {
+  Process* proc = nullptr;
+  Stage::Handle stage{};
+};
 
 class Simulation {
  public:
@@ -30,7 +41,8 @@ class Simulation {
   /// reference heap, so this only matters for differential tests/benches.
   explicit Simulation(QueueKind queue_kind = QueueKind::kTimingWheel);
   /// Destroys the simulation; any still-blocked processes are unwound via
-  /// ProcessKilled so their stacks unwind cleanly.
+  /// ProcessKilled so their stacks unwind cleanly, then the frames of the
+  /// stages still suspended are destroyed.
   ~Simulation();
 
   Simulation(const Simulation&) = delete;
@@ -50,6 +62,12 @@ class Simulation {
       return spawn_impl(std::move(name), [holder] { (*holder)(); });
     }
   }
+
+  /// Starts a stage at the current simulated time. The simulation owns its
+  /// frame from here on: one zero-delay event runs it to its first
+  /// suspension, exactly where spawn() would schedule a process's first
+  /// resume, and the frame is destroyed when the stage returns.
+  void start(Stage stage);
 
   /// Schedules a plain (non-blocking) handler. The callable goes straight
   /// into the event's inline buffer, so an oversized capture shows up in
@@ -102,8 +120,40 @@ class Simulation {
   /// Wakes a process blocked in block_current(); no-op if not blocked.
   /// The process resumes via an event at the current simulated time.
   void wake(Process& p);
+  /// Wakes a suspended stage through one event at the current simulated
+  /// time. The caller has taken it off the one FIFO it waited in.
+  void wake(Stage::Handle stage);
+  void wake(const Blocked& b) {
+    if (b.proc != nullptr) {
+      wake(*b.proc);
+    } else {
+      wake(b.stage);
+    }
+  }
+
+  // ---- Awaitable only from inside a stage ----
+
+  /// The stage form of delay(): `co_await sim.sleep(d)` schedules one event
+  /// at now() + d that resumes the stage — for d == 0 too, as delay(0)
+  /// does, so no later event id moves.
+  class Sleep {
+   public:
+    [[nodiscard]] bool await_ready() const noexcept { return false; }
+    void await_suspend(Stage::Handle stage) const {
+      sim_->schedule(d_, [sim = sim_, stage] { sim->resume(stage); });
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    friend class Simulation;
+    Sleep(Simulation* sim, SimTime d) : sim_(sim), d_(d) {}
+    Simulation* sim_;
+    SimTime d_;
+  };
+  [[nodiscard]] Sleep sleep(SimTime d);
 
   // ---- Introspection ----
+  /// Processes not yet finished (stages are not processes).
   [[nodiscard]] std::size_t live_process_count() const;
   [[nodiscard]] std::vector<std::string> blocked_process_names() const;
   [[nodiscard]] bool shutting_down() const { return shutting_down_; }
@@ -116,12 +166,18 @@ class Simulation {
 
   Process& spawn_impl(std::string name, std::function<void()> body);
   void resume(Process& p);
+  /// Runs a stage to its next suspension; destroys its frame, and rethrows
+  /// its error, once it has returned.
+  void resume(Stage::Handle stage);
   void check_current_killed();
   void pump_snapshot(SimTime period);
 
   Engine engine_;
   bool pump_active_ = false;
   std::vector<std::unique_ptr<Process>> processes_;
+  /// Every started stage frame, by Stage::promise_type::slot; null once the
+  /// stage has returned and its frame is gone.
+  std::vector<Stage::Handle> stages_;
   Process* current_ = nullptr;
   std::uint64_t next_process_id_ = 1;
   bool shutting_down_ = false;

@@ -17,7 +17,7 @@ void WaitQueue::wait() {
   if (p == nullptr) {
     throw std::logic_error("WaitQueue[" + name_ + "]::wait outside process");
   }
-  waiters_.push_back(Waiter{p, nullptr});
+  waiters_.push_back(Waiter{{.proc = p}, nullptr});
   sim_->block_current(name_.c_str());
 }
 
@@ -33,7 +33,7 @@ bool WaitQueue::wait_until(SimTime deadline) {
   }
   if (deadline <= sim_->now()) return false;
   auto timed = std::make_shared<Timed>();
-  waiters_.push_back(Waiter{p, timed});
+  waiters_.push_back(Waiter{{.proc = p}, timed});
   // The timeout event deliberately captures only the shared record, the
   // process and the simulation — never `this` — so it stays safe even if
   // the WaitQueue is destroyed before the event fires. Timed-out waiters
@@ -53,13 +53,13 @@ bool WaitQueue::notify_one() {
   if (waiters_.empty()) return false;
   Waiter w = std::move(waiters_.front());
   waiters_.pop_front();
-  SV_DCHECK(w.proc != nullptr && !w.done(),
+  SV_DCHECK((w.who.proc != nullptr || w.who.stage) && !w.done(),
             "WaitQueue[" + name_ + "]: scrubbed entry at queue head");
   if (w.timed) {
     w.timed->done = true;
     w.timed->notified = true;
   }
-  sim_->wake(*w.proc);
+  sim_->wake(w.who);
   return true;
 }
 

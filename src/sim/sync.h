@@ -2,7 +2,8 @@
 //
 // All primitives are condition-variable style: a woken waiter re-checks its
 // predicate, so these compose safely even with multiple producers/consumers.
-// FIFO wake order keeps runs deterministic.
+// FIFO wake order keeps runs deterministic. Processes and stages wait in the
+// same FIFOs: a stage awaits WaitQueue::wait_stage (Channel::readable).
 #pragma once
 
 #include <cstdint>
@@ -17,8 +18,8 @@
 
 namespace sv::sim {
 
-/// A FIFO queue of blocked processes; the building block for conditions,
-/// semaphores and channels.
+/// A FIFO queue of blocked processes and suspended stages; the building
+/// block for conditions, semaphores and channels.
 class WaitQueue {
  public:
   explicit WaitQueue(Simulation* sim, std::string name = "waitq")
@@ -32,6 +33,23 @@ class WaitQueue {
   /// which allocates nothing; a finite deadline schedules one timeout
   /// event.
   bool wait_until(SimTime deadline);
+
+  /// The stage form of wait(): `co_await q.wait_stage()` joins the same
+  /// FIFO, and the notify that reaches it schedules one zero-delay event.
+  class Wait {
+   public:
+    [[nodiscard]] bool await_ready() const noexcept { return false; }
+    void await_suspend(Stage::Handle stage) const {
+      q_->waiters_.push_back(Waiter{{.stage = stage}, nullptr});
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    friend class WaitQueue;
+    explicit Wait(WaitQueue* q) : q_(q) {}
+    WaitQueue* q_;
+  };
+  [[nodiscard]] Wait wait_stage() { return Wait(this); }
 
   /// Wakes the oldest waiter; returns false if none.
   bool notify_one();
@@ -47,10 +65,11 @@ class WaitQueue {
     bool notified = false;
     bool done = false;  // true once notified or timed out
   };
-  /// A queued waiter: the process itself for wait(), which allocates
-  /// nothing; a timed wait adds the record its timeout event shares.
+  /// A queued waiter: the process or stage itself for wait() and
+  /// wait_stage(), which allocate nothing; a process's timed wait adds the
+  /// record its timeout event shares.
   struct Waiter {
-    Process* proc = nullptr;
+    Blocked who;
     std::shared_ptr<Timed> timed;
     [[nodiscard]] bool done() const { return timed && timed->done; }
   };
@@ -147,6 +166,10 @@ class Channel {
     senders_.notify_one();
     return item;
   }
+
+  /// For a stage: `while (ch.empty() && !ch.closed()) co_await
+  /// ch.readable();` followed by try_recv() is recv().
+  [[nodiscard]] WaitQueue::Wait readable() { return receivers_.wait_stage(); }
 
   /// Non-blocking receive.
   std::optional<T> try_recv() {

@@ -132,7 +132,7 @@ TEST(FabricEdgeTest, ExactFrameMultiples) {
 
 TEST(FabricEdgeTest, DestroyPipeMidFlightIsSafe) {
   // A pipe destroyed while messages are still in flight must not crash or
-  // hang (stage processes co-own the state).
+  // hang (the stage frames co-own the state).
   sim::Simulation s;
   Cluster cluster(&s, 2);
   auto pipe = std::make_unique<Pipe>(&s, &cluster.node(0), &cluster.node(1),

@@ -201,17 +201,24 @@ TEST(Topology, EdgeCoreRoutesUseTwoHops) {
 }
 
 TEST(Topology, TraverseChargesEveryLinkOnThePath) {
+  // A pipe's wire stage walks the routed path frame by frame: 10,000 B on
+  // the SocketVIA profile cross every hop as three 4 KiB-or-less frames.
   Simulation s;
   net::Cluster cluster(&s, 16, NodeConfig{}, TopologySpec::fat_tree(4));
   Topology* topo = cluster.topology();
   ASSERT_NE(topo, nullptr);
   const Topology::Path p = topo->route(0, 15);
   ASSERT_EQ(p.hops, 4u);
-  s.spawn("xfer", [&] { topo->traverse(0, 15, 10'000); });
+  Pipe pipe(&s, &cluster.node(0), &cluster.node(15),
+            CalibrationProfile::socket_via(), "xfer");
+  s.spawn("xfer", [&] {
+    pipe.send(Message{.bytes = 10'000});
+    pipe.close();
+  });
   s.run();
   for (std::uint32_t i = 0; i < p.hops; ++i) {
     const auto& l = topo->link(p.link[i]);
-    EXPECT_EQ(l.c_frames->value(), 1u) << l.name;
+    EXPECT_EQ(l.c_frames->value(), 3u) << l.name;
     EXPECT_EQ(l.c_bytes->value(), 10'000u) << l.name;
     EXPECT_GT(l.c_busy_ns->value(), 0u) << l.name;
   }
@@ -222,7 +229,7 @@ TEST(Topology, TraverseChargesEveryLinkOnThePath) {
 
 TEST(Topology, SharedUplinkContentionQueues) {
   // Two same-edge senders crossing to the same destination edge share the
-  // (src + dst)-selected uplink; the later frame must wait.
+  // (src + dst)-selected uplink; the later frames must wait.
   Simulation s;
   net::Cluster cluster(&s, 16, NodeConfig{}, TopologySpec::fat_tree(4));
   Topology* topo = cluster.topology();
@@ -231,13 +238,17 @@ TEST(Topology, SharedUplinkContentionQueues) {
   // are chosen so both pairs pick the same core ((0+8) % 4 == (1+11) % 4),
   // hence the same first uplink.
   ASSERT_EQ(topo->route(0, 8).link[0], topo->route(1, 11).link[0]);
-  s.spawn("a", [&] { topo->traverse(0, 8, 100'000); });
-  s.spawn("b", [&] { topo->traverse(1, 11, 100'000); });
+  const CalibrationProfile profile = CalibrationProfile::socket_via();
+  Pipe a(&s, &cluster.node(0), &cluster.node(8), profile, "a");
+  Pipe b(&s, &cluster.node(1), &cluster.node(11), profile, "b");
+  s.spawn("a", [&] { a.send(Message{.bytes = 100'000}); });
+  s.spawn("b", [&] { b.send(Message{.bytes = 100'000}); });
   s.run();
   const auto& shared = topo->link(topo->route(0, 8).link[0]);
-  EXPECT_EQ(shared.c_frames->value(), 2u);
+  // 25 frames per 100,000 B message, from each pipe.
+  EXPECT_EQ(shared.c_frames->value(), 50u);
   EXPECT_GT(shared.c_wait_ns->value(), 0u)
-      << "second frame should have queued behind the first";
+      << "frames of one pipe should have queued behind the other's";
 }
 
 TEST(Topology, PipeOverFabricChargesUplinksAndLatency) {

