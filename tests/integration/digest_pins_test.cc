@@ -3,11 +3,12 @@
 // Each pinned workload is a scaled-down seeded run of a paper experiment
 // (fig04 ping-pong, fig08 paced updates, fig10 load balancing) or of the
 // detailed VIA socket's credit protocol under starvation, on both data
-// paths (the flow-control ablation and the RDMA extension). Its
-// (events_fired, trace_digest) pair is committed to
-// tests/integration/digest_pins.txt; the paper-experiment pins were
-// captured on the original std::priority_queue engine *before* the
-// timing-wheel queue swap. The test recomputes every workload on the
+// paths (the flow-control ablation and the RDMA extension), or of the
+// detailed kernel TCP's loss recovery (RTO, fast retransmit, reassembly)
+// under bursty loss and jitter. Its (events_fired, trace_digest) pair is
+// committed to tests/integration/digest_pins.txt; the paper-experiment
+// pins were captured on the original std::priority_queue engine *before*
+// the timing-wheel queue swap. The test recomputes every workload on the
 // current engine — on *both* queue implementations — and asserts
 // bit-identical digests, so the determinism contract survives queue and
 // allocator optimizations mechanically, not by review.
@@ -30,6 +31,8 @@
 #include "harness/openloop.h"
 #include "harness/vizbench.h"
 #include "net/cluster.h"
+#include "net/fault.h"
+#include "obs/metrics.h"
 #include "sim/simulation.h"
 #include "sockets/factory.h"
 #include "sockets/via_socket.h"
@@ -161,6 +164,47 @@ PinnedRun via_credit_stream(sim::QueueKind kind, bool rdma) {
   return {s.events_fired(), s.engine().trace_digest()};
 }
 
+/// A lossy echo over the detailed kernel-TCP socket: 3% bursty loss and
+/// up to 30 us of jitter on every link (fault seed 9). Node 0 sends 24
+/// messages of 1000 + 1700*i bytes and closes; node 1 echoes 200 bytes
+/// after every third message and closes at EOF; node 0 drains to EOF. The
+/// recovery counters must be nonzero, so the pin keeps covering RTO
+/// expiry, fast retransmit and out-of-order reassembly.
+PinnedRun tcp_lossy_echo(sim::QueueKind kind) {
+  sim::Simulation s(kind);
+  net::Cluster cluster(&s, 2);
+  net::FaultPlan plan;
+  plan.all_links.loss = 0.03;
+  plan.all_links.burst_continue = 0.3;
+  plan.all_links.max_jitter = 30_us;
+  cluster.install_faults(plan, 9);
+  sockets::SocketFactory factory(&s, &cluster, sockets::Fidelity::kDetailed);
+  s.spawn("app", [&] {
+    auto [a, b] = factory.connect(0, 1, net::Transport::kKernelTcp);
+    s.spawn("echo", [b = std::move(b)]() mutable {
+      int received = 0;
+      while (b->recv()) {
+        if (++received % 3 == 0) b->send(net::Message{.bytes = 200});
+      }
+      b->close_send();
+    });
+    for (std::uint64_t i = 0; i < 24; ++i) {
+      a->send(net::Message{.bytes = 1000 + 1700 * i});
+    }
+    a->close_send();
+    while (a->recv()) {
+    }
+  });
+  s.run();
+  const obs::Registry& reg = s.obs().registry;
+  EXPECT_GT(reg.sum_counters("tcpstack.rto_expirations{"), 0u);
+  EXPECT_GT(reg.sum_counters("tcpstack.fast_retransmits{"), 0u);
+  EXPECT_GT(reg.sum_counters("tcpstack.segments_retransmitted{conn="), 0u);
+  EXPECT_GT(reg.sum_counters("tcpstack.ooo_segments_received{"), 0u);
+  EXPECT_GT(reg.sum_counters("tcpstack.dup_acks_received{"), 0u);
+  return {s.events_fired(), s.engine().trace_digest()};
+}
+
 /// Fig 8-style paced complete updates with partial-update probes.
 PinnedRun fig08_paced(sim::QueueKind kind, net::Transport tr) {
   VizWorkloadConfig cfg;
@@ -249,6 +293,11 @@ TEST(DigestPins, ViaCreditStreamRdma) {
   check_all_queues("via_credit_stream_rdma", [](sim::QueueKind k) {
     return via_credit_stream(k, /*rdma=*/true);
   });
+}
+
+TEST(DigestPins, TcpLossyEcho) {
+  check_all_queues("tcp_lossy_echo",
+                   [](sim::QueueKind k) { return tcp_lossy_echo(k); });
 }
 
 TEST(DigestPins, Fig08PacedUpdatesTcp) {
