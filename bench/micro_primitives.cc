@@ -122,7 +122,10 @@ void BM_FabricMessage(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricMessage)->Arg(2048)->Arg(65536);
 
-void BM_DetailedTcpMessage(benchmark::State& state) {
+// 100 messages of 16 KiB over a detailed-fidelity socket pair: the
+// per-segment (kernel TCP) or per-descriptor (SocketVIA) protocol engines
+// end to end.
+void run_detailed_messages(benchmark::State& state, net::Transport tr) {
   for (auto _ : state) {
     state.PauseTiming();
     sim::Simulation s;
@@ -131,7 +134,7 @@ void BM_DetailedTcpMessage(benchmark::State& state) {
                                    sockets::Fidelity::kDetailed);
     state.ResumeTiming();
     s.spawn("app", [&] {
-      auto [a, b] = factory.connect(0, 1, net::Transport::kKernelTcp);
+      auto [a, b] = factory.connect(0, 1, tr);
       s.spawn("rx", [&s, b = std::move(b)]() mutable {
         while (b->recv()) {
         }
@@ -143,7 +146,16 @@ void BM_DetailedTcpMessage(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 100);
 }
+
+void BM_DetailedTcpMessage(benchmark::State& state) {
+  run_detailed_messages(state, net::Transport::kKernelTcp);
+}
 BENCHMARK(BM_DetailedTcpMessage);
+
+void BM_DetailedViaMessage(benchmark::State& state) {
+  run_detailed_messages(state, net::Transport::kSocketVia);
+}
+BENCHMARK(BM_DetailedViaMessage);
 
 void BM_PoolAcquireRelease(benchmark::State& state) {
   // Steady-state pool churn: after the first lap every acquire is a reuse

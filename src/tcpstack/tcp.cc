@@ -1,7 +1,9 @@
 #include "tcpstack/tcp.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.h"
 #include "net/fault.h"
@@ -102,7 +104,7 @@ Result<void> TcpConnection::send_until(mem::Payload payload,
     c_bytes_sent_->inc(take);
     offset += take;
     tx_wake_.notify_all();
-    // Yield so the tx loop can interleave segment transmission with the
+    // Yield so the tx stage can interleave segment transmission with the
     // next copy quantum on the shared host path.
     stack_->sim().delay(SimTime::zero());
   }
@@ -125,7 +127,7 @@ std::uint64_t TcpConnection::recv(std::uint64_t max) {
   const std::uint64_t take = std::min(max, recv_buf_bytes_);
   (void)recv_stream_.pop(take);  // byte-count caller: discard the views
   recv_buf_bytes_ -= take;
-  // Window opened: the peer's tx loop may resume.
+  // Window opened: the peer's tx stage may resume.
   peer_->tx_wake_.notify_all();
   return take;
 }
@@ -172,47 +174,55 @@ Result<std::uint64_t> TcpConnection::recv_exact_impl(std::uint64_t n,
   return total;
 }
 
-void TcpConnection::tx_loop() {
+sim::Stage TcpConnection::tx_stage() {
+  sim::Simulation& sim = stack_->sim();
+  sim::Resource& tx_host = stack_->node().tx_host();
+  const SimTime send_per_seg = stack_->profile().send_per_seg;
   const std::uint64_t mss = options_.mss;
   while (true) {
+    Segment seg;
     // Loss recovery has priority over new data: the RTO handler and fast
-    // retransmit run in event context, where blocking transmission is
-    // illegal, so they hand the actual re-send to this process.
-    if (retx_pending_) {
-      retx_pending_ = false;
-      if (!unacked_.empty()) {
-        retransmit_front();
-        continue;
-      }
-    }
-    if (unsent_bytes_ == 0) {
+    // retransmit run in event context, where transmission cannot wait for
+    // tx_host, so they hand the actual re-send to this stage.
+    if (std::exchange(retx_pending_, false) && !unacked_.empty()) {
+      seg = retransmit_front();
+    } else if (unsent_bytes_ == 0) {
       if (fin_queued_ && !fin_sent_) {
-        send_segment(0, true);  // pure FIN
+        seg = send_segment(0, true);  // pure FIN
+      } else if (fin_sent_ && unacked_.empty()) {
+        co_return;  // everything delivered+ACKed
+      } else {
+        co_await tx_wake_.wait_stage();
         continue;
       }
-      if (fin_sent_ && unacked_.empty()) break;  // everything delivered+ACKed
-      tx_wake_.wait();
-      continue;
+    } else {
+      const std::uint64_t window = peer_window_available();
+      if (window == 0) {
+        co_await tx_wake_.wait_stage();
+        continue;
+      }
+      const std::uint64_t bytes = std::min({mss, unsent_bytes_, window});
+      // Nagle: hold back a sub-MSS segment while data is in flight, unless
+      // this flushes the stream (close pending with nothing more coming).
+      if (options_.nagle && bytes < mss && bytes == unsent_bytes_ &&
+          inflight_bytes_ > 0 && !fin_queued_) {
+        co_await tx_wake_.wait_stage();
+        continue;
+      }
+      unsent_bytes_ -= bytes;
+      seg = send_segment(bytes, fin_queued_ && unsent_bytes_ == 0);
     }
-    const std::uint64_t window = peer_window_available();
-    if (window == 0) {
-      tx_wake_.wait();
-      continue;
-    }
-    const std::uint64_t seg = std::min({mss, unsent_bytes_, window});
-    // Nagle: hold back a sub-MSS segment while data is in flight, unless
-    // this flushes the stream (close pending with nothing more coming).
-    if (options_.nagle && seg < mss && seg == unsent_bytes_ &&
-        inflight_bytes_ > 0 && !fin_queued_) {
-      tx_wake_.wait();
-      continue;
-    }
-    unsent_bytes_ -= seg;
-    send_segment(seg, fin_queued_ && unsent_bytes_ == 0);
+    // Per-segment kernel TX work (header build, checksum, queueing), then
+    // the wire; the RTO runs from the moment the segment leaves.
+    co_await tx_host.acquire_stage();
+    co_await sim.sleep(send_per_seg);
+    tx_host.release();
+    stack_->wire_out_.send(std::move(seg));
+    arm_rto();
   }
 }
 
-void TcpConnection::send_segment(std::uint64_t bytes, bool fin) {
+Segment TcpConnection::send_segment(std::uint64_t bytes, bool fin) {
   const std::uint64_t seq = snd_nxt_;
   snd_nxt_ += bytes + (fin ? 1 : 0);  // FIN occupies one sequence number
   inflight_bytes_ += bytes;
@@ -239,12 +249,11 @@ void TcpConnection::send_segment(std::uint64_t bytes, bool fin) {
     c_acks_sent_->inc();
     unacked_segments_ = 0;
   }
-  stack_->transmit(TcpStack::Segment{this, seq, bytes, rcv_nxt_, has_ack, fin,
-                                     std::move(seg_payload)});
-  arm_rto();
+  return Segment{this, seq, bytes, rcv_nxt_, has_ack, fin,
+                 std::move(seg_payload)};
 }
 
-void TcpConnection::retransmit_front() {
+Segment TcpConnection::retransmit_front() {
   const auto it = unacked_.begin();
   SV_DCHECK(it->first == snd_una_,
             "earliest unacked segment must start at snd_una");
@@ -252,10 +261,8 @@ void TcpConnection::retransmit_front() {
   if (c_retx_link_ != nullptr) c_retx_link_->inc();
   tracer().instant(stack_->sim().now(), node_id(), "tcp", "retx",
                    it->second.bytes);
-  stack_->transmit(TcpStack::Segment{this, it->first, it->second.bytes,
-                                     rcv_nxt_, false, it->second.fin,
-                                     it->second.payload});
-  arm_rto();
+  return Segment{this, it->first, it->second.bytes, rcv_nxt_, false,
+                 it->second.fin, it->second.payload};
 }
 
 void TcpConnection::arm_rto() {
@@ -353,9 +360,9 @@ void TcpConnection::maybe_ack() {
 void TcpConnection::send_ack_now() {
   // Pure ACKs bypass the socket buffer; enqueue straight to the wire (the
   // kernel generates them in interrupt context). wire_out_ is unbounded, so
-  // this is safe from both process and event contexts.
-  stack_->wire_out_.send(
-      TcpStack::Segment{this, 0, 0, rcv_nxt_, true, false});
+  // this never blocks: it is safe from the receive stage and from the
+  // delayed-ACK timer's event.
+  stack_->wire_out_.send(Segment{this, 0, 0, rcv_nxt_, true, false});
   c_acks_sent_->inc();
   unacked_segments_ = 0;
 }
@@ -422,26 +429,8 @@ TcpStack::TcpStack(sim::Simulation* sim, net::Node* node,
       model_(profile_),
       wire_out_(sim, 0, node->name() + ".tcp_wire"),
       rx_queue_(sim, 0, node->name() + ".tcp_rx") {
-  sim_->spawn(node->name() + ".tcp_wire_engine", [this] {
-    while (auto seg = wire_out_.recv()) {
-      TcpStack* dest = seg->sender->peer_->stack_;
-      // Data segments occupy the inbound link for payload + headers; pure
-      // ACKs cost one header's worth.
-      dest->node_->link_in().use(model_.wire_time(seg->bytes));
-      SimTime extra = SimTime::zero();
-      if (net::FaultInjector* inj = node_->fault_injector()) {
-        const net::FaultDecision d =
-            inj->on_frame(node_->id(), dest->node_->id());
-        if (d.drop) continue;  // lost on the wire: TCP recovery takes over
-        extra = d.extra_delay;
-      }
-      auto shared = std::make_shared<Segment>(*seg);
-      sim_->schedule(profile_.propagation + extra, [dest, shared] {
-        dest->rx_queue_.send(*shared);
-      });
-    }
-  });
-  sim_->spawn(node->name() + ".tcp_rx_engine", [this] { rx_loop(); });
+  sim_->start(wire_stage());
+  sim_->start(rx_stage());
 }
 
 TcpStack::~TcpStack() {
@@ -449,25 +438,57 @@ TcpStack::~TcpStack() {
   rx_queue_.close();
 }
 
-void TcpStack::transmit(Segment seg) {
-  // Per-segment kernel TX work (header build, checksum, queueing).
-  node_->tx_host().use(profile_.send_per_seg);
-  wire_out_.send(seg);
+sim::Stage TcpStack::wire_stage() {
+  while (true) {
+    while (wire_out_.empty() && !wire_out_.closed()) {
+      co_await wire_out_.readable();
+    }
+    std::optional<Segment> seg = wire_out_.try_recv();
+    if (!seg) co_return;  // closed and drained
+    TcpStack* dest = seg->sender->peer_->stack_;
+    // Data segments occupy the inbound link for payload + headers; pure
+    // ACKs cost one header's worth.
+    sim::Resource& link_in = dest->node_->link_in();
+    co_await link_in.acquire_stage();
+    co_await sim_->sleep(model_.wire_time(seg->bytes));
+    link_in.release();
+    SimTime extra = SimTime::zero();
+    if (net::FaultInjector* inj = node_->fault_injector()) {
+      const net::FaultDecision d =
+          inj->on_frame(node_->id(), dest->node_->id());
+      if (d.drop) continue;  // lost on the wire: TCP recovery takes over
+      extra = d.extra_delay;
+    }
+    auto shared = std::make_shared<Segment>(std::move(*seg));
+    sim_->schedule(profile_.propagation + extra, [dest, shared] {
+      dest->rx_queue_.send(std::move(*shared));
+    });
+  }
 }
 
-void TcpStack::rx_loop() {
-  while (auto seg = rx_queue_.recv()) {
+sim::Stage TcpStack::rx_stage() {
+  sim::Resource& rx_proto = node_->rx_proto();
+  while (true) {
+    while (rx_queue_.empty() && !rx_queue_.closed()) {
+      co_await rx_queue_.readable();
+    }
+    std::optional<Segment> seg = rx_queue_.try_recv();
+    if (!seg) co_return;  // closed and drained
     TcpConnection* receiver = seg->sender->peer_;
     if (seg->bytes > 0 || seg->fin) {
       // Interrupt + TCP/IP input + checksum + copy to the socket buffer.
-      node_->rx_proto().use(profile_.recv_per_seg +
-                            profile_.recv_per_byte.for_bytes(seg->bytes));
+      co_await rx_proto.acquire_stage();
+      co_await sim_->sleep(profile_.recv_per_seg +
+                           profile_.recv_per_byte.for_bytes(seg->bytes));
+      rx_proto.release();
       receiver->on_segment(seg->seq, seg->bytes, seg->fin,
                            std::move(seg->payload));
     }
     if (seg->has_ack) {
       // ACK processing is cheap but not free.
-      node_->rx_proto().use(SimTime::microseconds(1));
+      co_await rx_proto.acquire_stage();
+      co_await sim_->sleep(SimTime::microseconds(1));
+      rx_proto.release();
       receiver->on_ack(seg->ack, seg->bytes == 0 && !seg->fin);
     }
   }
@@ -491,8 +512,8 @@ TcpStack::connect(TcpStack& client, TcpStack& server, TcpOptions options) {
   s->bind_link_obs();
   client.connections_.push_back(c);
   server.connections_.push_back(s);
-  client.sim_->spawn(c->name() + ".tx", [conn = c.get()] { conn->tx_loop(); });
-  server.sim_->spawn(s->name() + ".tx", [conn = s.get()] { conn->tx_loop(); });
+  client.sim_->start(c->tx_stage());
+  server.sim_->start(s->tx_stage());
   return {c, s};
 }
 

@@ -13,6 +13,14 @@
 // resources as every other transport, so TCP contends realistically with
 // itself and with VIA traffic.
 //
+// The engines are sim::Stage coroutines (sim/stage.h), not processes: each
+// stack runs a wire stage (the destination's link_in and the fault
+// injector per segment, then propagation) and a receive stage (rx_proto,
+// then segment and ACK processing), and each connection a transmit stage
+// (tx_host per segment, then the wire). A stack owns no fiber stack, a
+// segment costs coroutine resumes instead of fiber round trips, and every
+// event keeps the (time, id) the process form gave it (DESIGN.md §5.2).
+//
 // The fabric drops segments only under an installed net::FaultPlan
 // (DESIGN.md §8; net/fault.h): the paper's cLAN/FastEthernet LAN was
 // loss-free, so the baseline runs never retransmit, while fault-injection
@@ -61,7 +69,20 @@ struct TcpOptions {
   SimTime rto_max = SimTime::milliseconds(64);
 };
 
+class TcpConnection;
 class TcpStack;
+
+/// One segment on the wire: data (carrying any pending ACK) or a pure ACK.
+struct Segment {
+  TcpConnection* sender = nullptr;  // sending endpoint
+  std::uint64_t seq = 0;            // starting sequence of the payload
+  std::uint64_t bytes = 0;          // payload bytes (0 for pure ACK)
+  std::uint64_t ack = 0;            // cumulative ack (receiver's rcv_nxt)
+  bool has_ack = false;
+  bool fin = false;
+  /// Zero-copy slice of the sender's stream (empty for pure ACKs).
+  mem::Payload payload{};
+};
 
 /// One endpoint of an established connection. Byte-stream semantics.
 class TcpConnection {
@@ -159,12 +180,17 @@ class TcpConnection {
   /// non-null the drained bytes are appended to it as zero-copy slices.
   Result<std::uint64_t> recv_exact_impl(std::uint64_t n, SimTime deadline,
                                         mem::Payload* out);
-  void tx_loop();
-  /// Sends a fresh segment of `bytes` payload (seq = snd_nxt_), slicing
-  /// its bytes off the front of the unsent stream.
-  void send_segment(std::uint64_t bytes, bool fin);
-  /// Re-sends the earliest unacknowledged segment (go-back recovery).
-  void retransmit_front();
+  /// The transmit stage: picks the next segment (a retransmit, new data
+  /// or a FIN), holds tx_host for send_per_seg, puts it on the wire and
+  /// arms the RTO; waits on tx_wake_ when nothing may be sent.
+  sim::Stage tx_stage();
+  /// Books a fresh segment of `bytes` payload (seq = snd_nxt_), slicing
+  /// its bytes off the front of the unsent stream, and returns it for the
+  /// transmit stage to send.
+  Segment send_segment(std::uint64_t bytes, bool fin);
+  /// Books a re-send of the earliest unacknowledged segment (go-back
+  /// recovery) and returns it for the transmit stage to send.
+  Segment retransmit_front();
   void arm_rto();
   void cancel_rto();
   void on_rto_expiry();
@@ -203,7 +229,7 @@ class TcpConnection {
   std::uint64_t inflight_bytes_ = 0;  // payload bytes sent, not yet ACKed
   bool fin_queued_ = false;
   bool fin_sent_ = false;
-  bool retx_pending_ = false;  // RTO/fast-retransmit handoff to tx loop
+  bool retx_pending_ = false;  // RTO/fast-retransmit handoff to tx stage
   std::uint32_t dup_acks_ = 0;
   /// Fast-recovery guard (NewReno-style): once a fast retransmit fires,
   /// further duplicate ACKs for the same hole must not retrigger it until
@@ -215,7 +241,7 @@ class TcpConnection {
   bool rto_armed_ = false;
   std::uint64_t rto_event_ = 0;
   sim::WaitQueue send_space_;  // senders blocked on a full socket buffer
-  sim::WaitQueue tx_wake_;     // tx loop wakeups (data/ack/window/retx)
+  sim::WaitQueue tx_wake_;     // tx stage wakeups (data/ack/window/retx)
 
   // --- receive side ---
   std::uint64_t rcv_nxt_ = 0;  // next expected sequence
@@ -276,20 +302,12 @@ class TcpStack {
  private:
   friend class TcpConnection;
 
-  struct Segment {
-    TcpConnection* sender;    // sending endpoint
-    std::uint64_t seq = 0;    // starting sequence of the payload
-    std::uint64_t bytes = 0;  // payload bytes (0 for pure ACK)
-    std::uint64_t ack = 0;    // cumulative ack (receiver's rcv_nxt)
-    bool has_ack = false;
-    bool fin = false;
-    /// Zero-copy slice of the sender's stream (empty for pure ACKs).
-    mem::Payload payload{};
-  };
-
-  /// Transmits one segment from `conn` (charges tx_host + wire + rx path).
-  void transmit(Segment seg);
-  void rx_loop();
+  /// The wire stage: per segment, the destination's link_in and the fault
+  /// injector, then the propagation hand-off to the peer's receive stage.
+  sim::Stage wire_stage();
+  /// The receive stage: rx_proto per segment, then the receiving
+  /// endpoint's segment and ACK processing.
+  sim::Stage rx_stage();
 
   sim::Simulation* sim_;
   net::Node* node_;

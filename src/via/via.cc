@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "mem/ledger.h"
@@ -56,8 +57,8 @@ Nic::Nic(sim::Simulation* sim, net::Node* node, net::CalibrationProfile profile)
       model_(profile_),
       tx_queue_(sim, 0, node->name() + ".via_tx"),
       rx_queue_(sim, 0, node->name() + ".via_rx") {
-  sim_->spawn(node->name() + ".via_tx_engine", [this] { tx_loop(); });
-  sim_->spawn(node->name() + ".via_rx_engine", [this] { rx_loop(); });
+  sim_->start(tx_stage());
+  sim_->start(rx_stage());
 }
 
 Nic::~Nic() {
@@ -120,15 +121,23 @@ void Nic::post_send_internal(Vi* vi, Descriptor d) {
   tx_queue_.send(TxWork{vi, std::move(d)});
 }
 
-void Nic::tx_loop() {
-  while (auto work = tx_queue_.recv()) {
+sim::Stage Nic::tx_stage() {
+  while (true) {
+    while (tx_queue_.empty() && !tx_queue_.closed()) {
+      co_await tx_queue_.readable();
+    }
+    std::optional<TxWork> work = tx_queue_.try_recv();
+    if (!work) co_return;  // closed and drained
     Vi* vi = work->vi;
     Vi* peer = vi->peer_;
     Nic* peer_nic = peer->nic_;
     // DMA out of host memory and across the wire into the peer NIC. The
     // propagation delay is fixed per NIC, so arrivals fire in push order
     // and each takes the oldest work in flight.
-    peer_nic->node_->link_in().use(model_.wire_time(work->desc.length));
+    sim::Resource& link_in = peer_nic->node_->link_in();
+    co_await link_in.acquire_stage();
+    co_await sim_->sleep(model_.wire_time(work->desc.length));
+    link_in.release();
     propagating_.push_back(std::move(*work));
     sim_->schedule(profile_.propagation, [this] {
       TxWork& w = propagating_.front();
@@ -138,19 +147,25 @@ void Nic::tx_loop() {
   }
 }
 
-void Nic::rx_loop() {
-  while (auto work = rx_queue_.recv()) {
+sim::Stage Nic::rx_stage() {
+  sim::Resource& rx_proto = node_->rx_proto();
+  while (true) {
+    while (rx_queue_.empty() && !rx_queue_.closed()) {
+      co_await rx_queue_.readable();
+    }
+    std::optional<RxWork> work = rx_queue_.try_recv();
+    if (!work) co_return;  // closed and drained
     Vi* sender_vi = work->vi;
     Vi* receiver_vi = sender_vi->peer_;
     Descriptor& d = work->desc;
     // Receiver-side completion processing. RDMA writes land by DMA with no
     // receive-descriptor matching or host per-byte work — that is their
     // point; only a small NIC handling cost applies.
-    if (d.op == Opcode::kRdmaWrite) {
-      node_->rx_proto().use(profile_.recv_per_seg);
-    } else {
-      node_->rx_proto().use(model_.recv_time(d.length));
-    }
+    co_await rx_proto.acquire_stage();
+    co_await sim_->sleep(d.op == Opcode::kRdmaWrite
+                             ? profile_.recv_per_seg
+                             : model_.recv_time(d.length));
+    rx_proto.release();
     const SimTime now = sim_->now();
 
     if (d.op == Opcode::kRdmaWrite) {

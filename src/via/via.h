@@ -15,6 +15,11 @@
 //    exactly as SocketVIA did.
 //  - RDMA write requires no receive descriptor and completes at the sender
 //    only (the paper's future-work push/pull model builds on this).
+//
+// The NIC's transmit and receive engines are sim::Stage coroutines
+// (sim/stage.h), not processes: a NIC owns no fiber stack, a descriptor
+// costs coroutine resumes instead of fiber round trips, and every event
+// keeps the (time, id) the process form gave it (DESIGN.md §5.2).
 #pragma once
 
 #include <cstdint>
@@ -145,8 +150,9 @@ class Vi {
   std::deque<Descriptor> recv_queue_;
 };
 
-/// The per-node VIA NIC: owns memory registration and the TX engine that
-/// drains posted send descriptors in FIFO order.
+/// The per-node VIA NIC: owns memory registration, the transmit engine
+/// that drains posted send descriptors in FIFO order and the receive
+/// engine that matches them against posted receives.
 class Nic {
  public:
   Nic(sim::Simulation* sim, net::Node* node,
@@ -191,8 +197,12 @@ class Nic {
   };
 
   void post_send_internal(Vi* vi, Descriptor d);
-  void tx_loop();
-  void rx_loop();
+  /// The transmit engine: per posted descriptor, the peer's link_in, then
+  /// the propagation hand-off to the peer NIC's receive engine.
+  sim::Stage tx_stage();
+  /// The receive engine: rx_proto per descriptor, then descriptor matching
+  /// and the completion-queue pushes.
+  sim::Stage rx_stage();
 
   sim::Simulation* sim_;
   net::Node* node_;

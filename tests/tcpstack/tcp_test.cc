@@ -26,6 +26,16 @@ TEST(TcpTest, ConnectHandshakeCostsTime) {
   EXPECT_LT(t, 300_us);
 }
 
+TEST(TcpTest, StackAndConnectionSpawnNoProcess) {
+  // The wire, receive and transmit engines are stages (DESIGN.md §5.2),
+  // not processes: stacks and connections own no fiber.
+  Fixture f;
+  auto [c, srv] = TcpStack::connect(f.stack0, f.stack1);
+  EXPECT_EQ(f.s.live_process_count(), 0u);
+  f.s.run();
+  EXPECT_EQ(f.s.live_process_count(), 0u);
+}
+
 TEST(TcpTest, BytesDeliveredEndToEnd) {
   Fixture f;
   std::uint64_t got = 0;

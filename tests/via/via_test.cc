@@ -33,6 +33,16 @@ TEST(ViaTest, MemoryRegistration) {
   EXPECT_EQ(f.nic0.find_region(r->handle()), nullptr);
 }
 
+TEST(ViaTest, NicSpawnsNoProcess) {
+  // The NIC's transmit and receive engines are stages (DESIGN.md §5.2).
+  sim::Simulation s;
+  net::Cluster cluster(&s, 1);
+  Nic nic(&s, &cluster.node(0));
+  EXPECT_EQ(s.live_process_count(), 0u);
+  s.run();
+  EXPECT_EQ(s.live_process_count(), 0u);
+}
+
 TEST(ViaTest, RegistrationCostsTimeInsideProcess) {
   Fixture f;
   SimTime t;
