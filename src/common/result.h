@@ -24,18 +24,6 @@ enum class ErrorCode {
   kFailed,   // any other expected failure (message carries the detail)
 };
 
-[[nodiscard]] constexpr const char* error_code_name(ErrorCode c) {
-  switch (c) {
-    case ErrorCode::kTimeout:
-      return "timeout";
-    case ErrorCode::kClosed:
-      return "closed";
-    case ErrorCode::kFailed:
-      return "failed";
-  }
-  return "?";
-}
-
 struct Error {
   ErrorCode code = ErrorCode::kFailed;
   std::string message;

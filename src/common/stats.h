@@ -71,7 +71,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t buckets);
 
   void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
   [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
   [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
   [[nodiscard]] std::uint64_t overflow() const { return overflow_; }

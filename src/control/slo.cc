@@ -187,10 +187,13 @@ void Controller::step_demotions(SimTime at, std::uint64_t cluster_count,
     }
     const bool slow = state.latency.count() >= cfg_.min_window_samples &&
                       state.latency.percentile(99) > node_limit;
-    // A node that has delivered before but produced zero samples while the
-    // cluster is actively delivering is stalled, not idle.
-    const bool silent = cfg_.demote_on_silence && cluster_active &&
-                        state.lifetime_samples > 0 &&
+    // Also demote a node that previously delivered but went *silent* (zero
+    // window samples) while the rest of the cluster is actively delivering
+    // — the signature of a full stall, which produces no latency samples
+    // at all until it ends (and then a flood of late ones). Guarded by the
+    // `slo.offered` counter when present: a quiet node during a workload
+    // lull or the end-of-run drain is idle, not stalled.
+    const bool silent = cluster_active && state.lifetime_samples > 0 &&
                         state.latency.count() == 0;
     state.bad_windows = slow || silent ? state.bad_windows + 1 : 0;
     if (state.bad_windows >= cfg_.demote_windows &&

@@ -89,13 +89,6 @@ struct ControllerConfig {
   int demote_windows = 2;
   int max_demoted = 1;
   SimTime demote_hold = SimTime::milliseconds(40);
-  /// Also demote a node that previously delivered but went *silent* (zero
-  /// window samples) while the rest of the cluster is actively delivering
-  /// — the signature of a full stall, which produces no latency samples
-  /// at all until it ends (and then a flood of late ones). Guarded by the
-  /// `slo.offered` counter when present: a quiet node during a workload
-  /// lull or the end-of-run drain is idle, not stalled.
-  bool demote_on_silence = true;
 };
 
 /// Per-query-class token-bucket admission gate. The workload *queries* it

@@ -5,14 +5,6 @@
 
 namespace sv::dc {
 
-const char* policy_name(SchedPolicy p) {
-  switch (p) {
-    case SchedPolicy::kRoundRobin: return "RR";
-    case SchedPolicy::kDemandDriven: return "DD";
-  }
-  return "?";
-}
-
 FilterGroup& FilterGroup::add_filter(
     std::string name, std::function<std::unique_ptr<Filter>()> make,
     std::vector<std::size_t> placement) {

@@ -14,8 +14,6 @@ namespace sv::dc {
 /// Buffer distribution policy between transparent consumer copies.
 enum class SchedPolicy { kRoundRobin, kDemandDriven };
 
-[[nodiscard]] const char* policy_name(SchedPolicy p);
-
 struct FilterSpec {
   std::string name;
   std::function<std::unique_ptr<Filter>()> make;

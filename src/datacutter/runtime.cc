@@ -12,6 +12,14 @@ constexpr std::uint64_t kKindData = 0;
 constexpr std::uint64_t kKindMarker = 1;
 constexpr std::uint64_t kKindAck = 2;
 
+// Per-buffer runtime cost at the producer (header build, scheduling).
+constexpr SimTime kWriteOverhead = SimTime::microseconds(1);
+// Per-buffer runtime cost at the consumer (header parse, dispatch).
+constexpr SimTime kReadOverhead = SimTime::microseconds(1);
+// Wire size of end-of-work markers and DD acknowledgments.
+constexpr std::uint64_t kMarkerBytes = 16;
+constexpr std::uint64_t kAckBytes = 16;
+
 std::uint64_t encode_tag(std::uint64_t kind, std::uint64_t uow_id) {
   return kind | (uow_id << 8);
 }
@@ -175,7 +183,7 @@ class Runtime::ContextImpl final : public FilterContext {
       throw std::out_of_range("FilterContext::write: no such output stream");
     }
     auto& port = cs_->outputs[output];
-    core_->sim->delay(core_->options.write_overhead);
+    core_->sim->delay(kWriteOverhead);
     std::size_t target = 0;
     if (port.spec->policy == SchedPolicy::kRoundRobin) {
       target = port.rr_next++ % port.socks.size();
@@ -251,7 +259,7 @@ class Runtime::ContextImpl final : public FilterContext {
     for (auto& port : cs_->outputs) {
       for (auto& sock : port.socks) {
         net::Message m;
-        m.bytes = core_->options.marker_bytes;
+        m.bytes = kMarkerBytes;
         m.tag = encode_tag(kKindMarker, current_uow_.id);
         timed_send(*sock, std::move(m));
       }
@@ -295,11 +303,11 @@ class Runtime::ContextImpl final : public FilterContext {
     // DD: acknowledge when processing begins (Section 4.1).
     if (port.spec->policy == SchedPolicy::kDemandDriven) {
       net::Message ack;
-      ack.bytes = core_->options.ack_bytes;
+      ack.bytes = kAckBytes;
       ack.tag = encode_tag(kKindAck, uow_id);
       timed_send(*port.socks[ep], std::move(ack));
     }
-    core_->sim->delay(core_->options.read_overhead);
+    core_->sim->delay(kReadOverhead);
     return std::any_cast<DataBuffer>(std::move(msg.meta));
   }
 

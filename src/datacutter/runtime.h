@@ -27,13 +27,6 @@ namespace sv::dc {
 
 struct RuntimeOptions {
   net::Transport transport = net::Transport::kSocketVia;
-  /// Per-buffer runtime cost at the producer (header build, scheduling).
-  SimTime write_overhead = SimTime::microseconds(1);
-  /// Per-buffer runtime cost at the consumer (header parse, dispatch).
-  SimTime read_overhead = SimTime::microseconds(1);
-  /// Wire size of end-of-work markers and DD acknowledgments.
-  std::uint64_t marker_bytes = 16;
-  std::uint64_t ack_bytes = 16;
   /// Demand-driven cap: a producer blocks rather than exceed this many
   /// unacknowledged buffers at every consumer (DataCutter's per-stream
   /// buffer pool). 0 = unbounded.

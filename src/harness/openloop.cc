@@ -7,18 +7,9 @@
 #include "common/check.h"
 #include "net/cluster.h"
 #include "sim/sync.h"
+#include "sockets/mux.h"
 
 namespace sv::harness {
-
-const char* arrival_kind_name(ArrivalKind k) {
-  switch (k) {
-    case ArrivalKind::kPoisson:
-      return "poisson";
-    case ArrivalKind::kMmpp:
-      return "mmpp";
-  }
-  return "?";
-}
 
 double ArrivalSpec::peak_rate_per_sec() const {
   double peak = rate_per_sec;
@@ -33,6 +24,11 @@ double ArrivalSpec::peak_rate_per_sec() const {
 }
 
 namespace {
+
+// Admission buckets are sized at the expected per-class offered rate times
+// this headroom, so full admission (1000‰) never throttles.
+constexpr int kAdmissionHeadroomPct = 120;
+constexpr std::uint64_t kBucketBurst = 64;
 
 /// Strictly-positive exponential draw in integer nanoseconds.
 SimTime exp_gap_ns(Rng& rng, double mean_ns) {
@@ -143,7 +139,7 @@ OpenLoopResult run_open_loop(const OpenLoopConfig& cfg) {
     }
   }
 
-  sockets::SendMuxConfig mux_cfg = cfg.mux;
+  sockets::SendMuxConfig mux_cfg;
   mux_cfg.transport = cfg.transport;
   std::vector<std::unique_ptr<sockets::SendMux>> muxes;
   muxes.reserve(static_cast<std::size_t>(nodes));
@@ -212,18 +208,16 @@ OpenLoopResult run_open_loop(const OpenLoopConfig& cfg) {
                                      static_cast<double>(weight_sum)
                                : 1.0;
       const double r = total_rate * share *
-                       static_cast<double>(cfg.slo->admission_headroom_pct) /
-                       100.0;
+                       static_cast<double>(kAdmissionHeadroomPct) / 100.0;
       return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(r));
     };
     if (has_classes) {
       for (const QueryClass& qc : cfg.classes) {
-        specs.push_back({qc.name, scaled_rate(qc.weight),
-                         cfg.slo->bucket_burst, qc.sheddable});
+        specs.push_back(
+            {qc.name, scaled_rate(qc.weight), kBucketBurst, qc.sheddable});
       }
     } else {
-      specs.push_back(
-          {"default", scaled_rate(1), cfg.slo->bucket_burst, true});
+      specs.push_back({"default", scaled_rate(1), kBucketBurst, true});
     }
     admission = std::make_unique<control::AdmissionControl>(std::move(specs));
 

@@ -40,13 +40,10 @@
 #include "net/fault.h"
 #include "net/topology.h"
 #include "sim/event_queue.h"
-#include "sockets/mux.h"
 
 namespace sv::harness {
 
 enum class ArrivalKind { kPoisson, kMmpp };
-
-[[nodiscard]] const char* arrival_kind_name(ArrivalKind k);
 
 /// A flash crowd: the arrival rate multiplies by `multiplier` inside
 /// [at, at + duration). Windows may overlap; multipliers compound.
@@ -100,8 +97,6 @@ class ArrivalProcess {
   /// trajectory, so calls must use non-decreasing t).
   [[nodiscard]] double rate_at(SimTime t);
 
-  [[nodiscard]] bool mmpp_high() const { return high_; }
-
  private:
   ArrivalSpec spec_;
   /// Two independent streams: `arrivals_` draws candidates + acceptance,
@@ -133,10 +128,6 @@ struct SloControlConfig {
   /// Snapshot/decision window (sim time). When `--metrics-every` already
   /// runs a pump, the controller rides that cadence instead.
   SimTime window = SimTime::milliseconds(5);
-  /// Admission buckets are sized at the expected per-class offered rate
-  /// times this headroom, so full admission (1000‰) never throttles.
-  int admission_headroom_pct = 120;
-  std::uint64_t bucket_burst = 64;
 };
 
 /// Configuration for a full open-loop scale run.
@@ -170,8 +161,6 @@ struct OpenLoopConfig {
   /// Generators stop issuing arrivals after this much simulated time; the
   /// run then drains deterministically.
   SimTime duration = SimTime::milliseconds(200);
-  /// Mux tuning (transport is overridden from `transport` above).
-  sockets::SendMuxConfig mux{};
 
   /// Workload mix. Empty = one implicit class of `update_bytes`,
   /// sheddable, with zero extra RNG draws — the historical arrival stream,

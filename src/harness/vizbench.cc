@@ -34,7 +34,6 @@ PacedResult run_paced_updates(const VizWorkloadConfig& cfg, double target_ups,
   install_faults(cluster, cfg);
   begin_obs(s, cfg.obs);
   sockets::SocketFactory factory(&s, &cluster);
-  factory.set_copy_policy(cfg.copy_policy);
   viz::VizApp update_app(&s, &cluster, &factory, make_app_config(cfg));
   viz::VizApp probe_app(&s, &cluster, &factory, make_app_config(cfg));
   update_app.start();
@@ -113,7 +112,6 @@ SaturationResult run_saturation(const VizWorkloadConfig& cfg, int updates,
   install_faults(cluster, cfg);
   begin_obs(s, cfg.obs);
   sockets::SocketFactory factory(&s, &cluster);
-  factory.set_copy_policy(cfg.copy_policy);
   viz::VizApp app(&s, &cluster, &factory, make_app_config(cfg));
   app.start();
 
@@ -157,7 +155,6 @@ Samples run_query_mix(const VizWorkloadConfig& cfg, double complete_fraction,
   install_faults(cluster, cfg);
   begin_obs(s, cfg.obs);
   sockets::SocketFactory factory(&s, &cluster);
-  factory.set_copy_policy(cfg.copy_policy);
   viz::VizApp app(&s, &cluster, &factory, make_app_config(cfg));
   app.start();
 
@@ -188,7 +185,6 @@ SimTime measure_idle_partial_latency(const VizWorkloadConfig& cfg) {
   install_faults(cluster, cfg);
   begin_obs(s, cfg.obs);
   sockets::SocketFactory factory(&s, &cluster);
-  factory.set_copy_policy(cfg.copy_policy);
   viz::VizApp app(&s, &cluster, &factory, make_app_config(cfg));
   app.start();
   SimTime latency;

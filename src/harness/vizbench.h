@@ -19,7 +19,6 @@
 #include "common/stats.h"
 #include "datacutter/group.h"
 #include "harness/obsout.h"
-#include "mem/copy_policy.h"
 #include "net/calibration.h"
 #include "net/fault.h"
 #include "sim/event_queue.h"
@@ -48,9 +47,6 @@ struct VizWorkloadConfig {
   /// proves it per release); the knob exists for that proof and for
   /// differential benchmarking.
   sim::QueueKind queue_kind = sim::QueueKind::kTimingWheel;
-  /// Selective-copy policy for the run's zero-copy sockets (DESIGN.md §14).
-  /// kStaticPool (default) keeps the legacy path and every digest pin.
-  mem::CopyPolicyConfig copy_policy{};
 };
 
 /// Figure 7 point: run complete updates at `target_ups` while probing with

@@ -61,7 +61,7 @@ CopyVerdict CopyPolicy::acquire(SimTime now, std::uint64_t buffer_id,
       break;
 
     case CopyPolicyKind::kEagerCopy:
-      v.cpu_cost = config_.copy_fixed + config_.copy_per_byte.for_bytes(bytes);
+      v.cpu_cost = kCopyFixed + kCopyPerByte.for_bytes(bytes);
       v.copied_bytes = bytes;
       charge_copy(hub_, now, node_, "policy.stage_copy", bytes);
       break;
@@ -77,13 +77,13 @@ CopyVerdict CopyPolicy::acquire(SimTime now, std::uint64_t buffer_id,
       if (buffer_id == 0) {
         // Anonymous one-shot buffer: caching it would alias every other
         // anonymous message onto one cache line. Pin per-message instead.
-        v.cpu_cost = config_.cache_lookup + pin_cost(bytes);
+        v.cpu_cost = kCacheLookup + pin_cost(bytes);
         v.registered_bytes = bytes;
         v.needs_release = true;
         charge_registration(hub_, now, node_, bytes);
         break;
       }
-      v.cpu_cost = config_.cache_lookup;
+      v.cpu_cost = kCacheLookup;
       RegCache::Lookup look = cache_->lookup(now, buffer_id, bytes);
       if (!look.hit) {
         v.cpu_cost = v.cpu_cost + pin_cost(bytes);
@@ -91,7 +91,7 @@ CopyVerdict CopyPolicy::acquire(SimTime now, std::uint64_t buffer_id,
         // Evictions bill their unpin time here too: the miss path stalls
         // until the victim regions are deregistered.
         for (std::size_t i = 0; i < look.evicted_ids.size(); ++i) {
-          v.cpu_cost = v.cpu_cost + scaled(config_.unpin_fixed);
+          v.cpu_cost = v.cpu_cost + scaled(kUnpinFixed);
         }
         // Capacity 0 pins per-message; the caller must unpin after send.
         v.needs_release = cache_->config().capacity_regions == 0;
@@ -107,13 +107,13 @@ SimTime CopyPolicy::release(SimTime now, std::uint64_t buffer_id,
   switch (config_.kind) {
     case CopyPolicyKind::kRegisterOnFly:
       charge_deregistration(hub_, now, node_, bytes);
-      return scaled(config_.unpin_fixed);
+      return scaled(kUnpinFixed);
     case CopyPolicyKind::kRegCache:
       // Per-message pins (anonymous buffer, or a capacity-0 cache) are
       // unpinned here; resident entries stay pinned until evicted.
       if (buffer_id == 0 || cache_->config().capacity_regions == 0) {
         charge_deregistration(hub_, now, node_, bytes);
-        return scaled(config_.unpin_fixed);
+        return scaled(kUnpinFixed);
       }
       return SimTime::zero();
     case CopyPolicyKind::kStaticPool:
@@ -129,7 +129,7 @@ SimTime CopyPolicy::scaled(SimTime t) const {
 }
 
 SimTime CopyPolicy::pin_cost(std::uint64_t bytes) const {
-  return scaled(config_.pin_fixed + config_.pin_per_byte.for_bytes(bytes));
+  return scaled(kPinFixed + kPinPerByte.for_bytes(bytes));
 }
 
 }  // namespace sv::mem

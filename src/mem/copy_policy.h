@@ -53,24 +53,26 @@ enum class CopyPolicyKind : std::uint8_t {
 [[nodiscard]] bool parse_copy_policy(std::string_view text,
                                      CopyPolicyKind* out);
 
+// Eager-copy cost model: one bounce-buffer copy per message. The per-byte
+// cost matches the calibrated kernel-TCP user→kernel copy
+// (net/calibration.cc) so "one copy" means the same thing everywhere.
+inline constexpr SimTime kCopyFixed = SimTime::nanoseconds(250);
+inline constexpr PerByteCost kCopyPerByte = PerByteCost::nanos_per_byte(9);
+
+// Pin/unpin cost model: VIA-era registration is ~20 us of kernel work
+// (via::Nic charges the same fixed cost for pool setup) plus a small
+// per-byte page-table walk; unpinning is cheaper but not free.
+inline constexpr SimTime kPinFixed = SimTime::microseconds(20);
+inline constexpr PerByteCost kPinPerByte = PerByteCost::picos_per_byte(100);
+inline constexpr SimTime kUnpinFixed = SimTime::microseconds(10);
+
+// RegCache lookup overhead, hit or miss.
+inline constexpr SimTime kCacheLookup = SimTime::nanoseconds(200);
+
 struct CopyPolicyConfig {
   CopyPolicyKind kind = CopyPolicyKind::kStaticPool;
 
-  // Eager-copy cost model: one bounce-buffer copy per message. The
-  // per-byte cost matches the calibrated kernel-TCP user→kernel copy
-  // (net/calibration.cc) so "one copy" means the same thing everywhere.
-  SimTime copy_fixed = SimTime::nanoseconds(250);
-  PerByteCost copy_per_byte = PerByteCost::nanos_per_byte(9);
-
-  // Pin/unpin cost model: VIA-era registration is ~20 us of kernel work
-  // (via::Nic charges the same fixed cost for pool setup) plus a small
-  // per-byte page-table walk; unpinning is cheaper but not free.
-  SimTime pin_fixed = SimTime::microseconds(20);
-  PerByteCost pin_per_byte = PerByteCost::picos_per_byte(100);
-  SimTime unpin_fixed = SimTime::microseconds(10);
-
-  // RegCache lookup overhead (hit or miss) and shape.
-  SimTime cache_lookup = SimTime::nanoseconds(200);
+  /// RegCache shape.
   RegCache::Config cache{};
 
   // Scales pin/unpin costs (ablation knob): 100 = calibrated, 400 =

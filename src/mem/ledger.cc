@@ -54,8 +54,4 @@ void charge_deregistration(obs::Hub* hub, SimTime now, int node,
   }
 }
 
-std::uint64_t copies_recorded(const obs::Hub& hub) {
-  return hub.registry.counter_value("mem.copies");
-}
-
 }  // namespace sv::mem

@@ -66,7 +66,4 @@ void charge_registration(obs::Hub* hub, SimTime now, int node,
 void charge_deregistration(obs::Hub* hub, SimTime now, int node,
                            std::uint64_t bytes);
 
-/// Total copies recorded in `hub` so far (aggregate counter; test helper).
-[[nodiscard]] std::uint64_t copies_recorded(const obs::Hub& hub);
-
 }  // namespace sv::mem

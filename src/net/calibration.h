@@ -60,13 +60,11 @@ struct CalibrationProfile {
   PerByteCost recv_per_byte;
 
   // Attribution of the host-stage constants above to payload *copies*
-  // (DESIGN.md §10): the memcpy component of one user↔kernel crossing.
-  // Already embedded in send_per_byte/recv_per_byte — CostModel::copy()
-  // never adds to one_way()/stream_cycle(); it exists so experiments can
-  // scale copy cost as an independent variable (bench/ablation_copycost)
-  // and so the ledger can attribute time to counted copy events. Zero for
-  // the zero-copy transports (VIA, SocketVIA).
-  SimTime copy_fixed{};
+  // (DESIGN.md §10): the per-byte memcpy cost of one user↔kernel crossing.
+  // Already embedded in send_per_byte/recv_per_byte, so it never adds to
+  // one_way()/stream_cycle(); it exists so experiments can scale copy cost
+  // as an independent variable (bench/ablation_copycost). Zero for the
+  // zero-copy transports (VIA, SocketVIA).
   PerByteCost copy_per_byte{};
 
   // Segmentation unit: TCP MSS, or the VIA DMA burst size.

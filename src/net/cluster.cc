@@ -3,13 +3,19 @@
 #include "common/check.h"
 
 namespace sv::net {
+namespace {
+
+// Cores per node: the Dell Precision 420s were dual 1 GHz PIII.
+constexpr int kCoresPerNode = 2;
+
+}  // namespace
 
 Node::Node(sim::Simulation* sim, int id, const NodeConfig& cfg)
     : sim_(sim),
       id_(id),
       cfg_(cfg),
       name_("node" + std::to_string(id)),
-      cpu_(sim, cfg.cpus, name_ + ".cpu"),
+      cpu_(sim, kCoresPerNode, name_ + ".cpu"),
       tx_host_(sim, 1, name_ + ".tx"),
       link_in_(sim, 1, name_ + ".link_in"),
       rx_proto_(sim, 1, name_ + ".rx_proto") {}

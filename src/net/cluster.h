@@ -1,8 +1,7 @@
 // The simulated cluster: nodes with CPU and network-path resources.
 //
-// Mirrors the paper's testbed shape: N nodes, each with `cpus` cores (the
-// Dell Precision 420s were dual 1 GHz PIII) and a NIC. Per node we model
-// three contended service points:
+// Mirrors the paper's testbed shape: N nodes, each with two cores and a
+// NIC. Per node we model three contended service points:
 //   cpu      - application computation (filters), capacity = cores
 //   tx_host  - sender-side host path (syscall/copy or doorbell), capacity 1
 //   link_in  - inbound link/DMA path at the receiver, capacity 1
@@ -23,7 +22,6 @@
 namespace sv::net {
 
 struct NodeConfig {
-  int cpus = 2;
   /// Relative CPU speed divisor; 1 = nominal. The heterogeneity experiments
   /// (Figures 10/11) slow a node by running computations `slow_factor`x
   /// longer. This is the static factor; dynamic slowdown is applied by the

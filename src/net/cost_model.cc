@@ -61,10 +61,6 @@ SimTime CostModel::pingpong_latency(std::uint64_t n) const {
   return one_way(n);
 }
 
-SimTime CostModel::copy(std::uint64_t n) const {
-  return profile_.copy_fixed + profile_.copy_per_byte.for_bytes(n);
-}
-
 SimTime CostModel::stream_cycle(std::uint64_t n) const {
   const SimTime sender = sender_time(n);
   const SimTime wire = wire_time(n);

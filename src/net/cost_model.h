@@ -44,12 +44,6 @@ class CostModel {
   /// Half-duplex ping-pong "latency" as micro-benchmarks report it: RTT/2.
   [[nodiscard]] SimTime pingpong_latency(std::uint64_t n) const;
 
-  /// Cost attributed to ONE payload copy of n bytes (the memcpy component
-  /// of a user↔kernel crossing). Already included in sender_time/recv_time
-  /// for the transports that copy — this is an attribution/ablation term,
-  /// not an additional charge (see CalibrationProfile::copy_per_byte).
-  [[nodiscard]] SimTime copy(std::uint64_t n) const;
-
   /// Smallest message size whose streaming bandwidth reaches `mbps`
   /// (the paper's U2-vs-U1 message size; Figure 2a). Returns 0 if even
   /// 1-byte messages suffice, or `limit` if unreachable below it.

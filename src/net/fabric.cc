@@ -5,6 +5,13 @@
 #include <stdexcept>
 
 namespace sv::net {
+namespace {
+
+// Fast-fabric recovery pause charged per internal re-send of a lost frame
+// (stands in for a transport-level retransmission round trip).
+constexpr SimTime kRecoveryDelay = SimTime::microseconds(500);
+
+}  // namespace
 
 Pipe::State::State(sim::Simulation* sim_in, Node* src_in, Node* dst_in,
                    CalibrationProfile profile_in, std::string name_in)
@@ -207,7 +214,7 @@ sim::Stage Pipe::State::wire_stage(std::shared_ptr<State> self) {
         st.c_frames_retx_total->inc();
         sim.obs().tracer.instant(sim.now(), st.dst->id(), "fabric", "retx",
                                  f->bytes);
-        co_await sim.sleep(d.recovery_delay);
+        co_await sim.sleep(kRecoveryDelay);
       }
       // Jitter is occupancy on this stage (not added propagation) so
       // frames cannot reorder; the pipe's in-order contract holds.

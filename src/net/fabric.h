@@ -110,8 +110,8 @@ class Pipe {
   [[nodiscard]] std::uint64_t messages_sent() const;
   [[nodiscard]] std::uint64_t bytes_sent() const;
   /// Frames internally re-sent after fault-injected wire loss. The fast
-  /// fabric stays reliable and in-order: a lost frame costs the link's
-  /// recovery_delay plus a second wire crossing (see net/fault.h).
+  /// fabric stays reliable and in-order: a lost frame costs a fixed
+  /// recovery pause plus a second wire crossing (see net/fault.h).
   [[nodiscard]] std::uint64_t frames_retransmitted() const;
 
  private:

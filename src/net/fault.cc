@@ -46,7 +46,6 @@ FaultInjector::LinkState& FaultInjector::link_state(int src, int dst) {
 FaultDecision FaultInjector::on_frame(int src, int dst) {
   const LinkFault& spec = plan_.link(src, dst);
   FaultDecision d;
-  d.recovery_delay = spec.recovery_delay;
   if (!spec.enabled()) return d;
 
   LinkState& st = link_state(src, dst);

@@ -12,7 +12,7 @@
 //
 // Consumers:
 //   net::Pipe       - fast fabric: a dropped frame is re-sent internally
-//                     after LinkFault::recovery_delay (the fast model stays
+//                     after a fixed recovery pause (the fast model stays
 //                     reliable and in-order; it models "transport after
 //                     recovery").
 //   tcpstack        - segments are actually lost; TCP's RTO / fast
@@ -43,9 +43,6 @@ struct LinkFault {
   double burst_continue = 0.0;
   /// Extra per-frame delay, uniform in [0, max_jitter].
   SimTime max_jitter = SimTime::zero();
-  /// Fast-fabric recovery pause charged per internal re-send of a lost
-  /// frame (stands in for a transport-level retransmission round trip).
-  SimTime recovery_delay = SimTime::microseconds(500);
   /// Explicit frame indices (0-based, per link, in wire order) to drop
   /// regardless of `loss` — for unit tests that need a precise loss.
   std::vector<std::uint64_t> drop_frames{};
@@ -100,8 +97,6 @@ struct FaultDecision {
   bool drop = false;
   /// Extra wire delay (jitter); zero when not delayed.
   SimTime extra_delay = SimTime::zero();
-  /// Recovery pause the fast fabric should charge per re-send attempt.
-  SimTime recovery_delay = SimTime::zero();
 };
 
 /// Turns a FaultPlan plus an experiment seed into deterministic per-frame

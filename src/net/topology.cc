@@ -17,18 +17,6 @@ std::size_t slot(int row, int width, int col) {
 
 }  // namespace
 
-const char* topology_kind_name(TopologyKind k) {
-  switch (k) {
-    case TopologyKind::kSingleCrossbar:
-      return "crossbar";
-    case TopologyKind::kFatTree:
-      return "fat_tree";
-    case TopologyKind::kEdgeCore:
-      return "edge_core";
-  }
-  return "?";
-}
-
 TopologySpec TopologySpec::single_crossbar() { return TopologySpec{}; }
 
 TopologySpec TopologySpec::fat_tree(int k, int oversubscription) {
@@ -117,9 +105,8 @@ void Topology::build_fat_tree() {
   const int agg_base = edges;
   const int core_base = edges + pods * half_k_;
 
-  const PerByteCost host = spec_.host_link;
   const PerByteCost core_tier = PerByteCost::picos_per_byte(
-      host.ps_per_byte() * spec_.oversubscription);
+      kHostLink.ps_per_byte() * spec_.oversubscription);
 
   // Edge tier: every edge switch pairs with every aggregation switch in its
   // pod, at host speed (k/2 hosts share k/2 uplinks — 1:1 below the pod).
@@ -136,10 +123,10 @@ void Topology::build_fat_tree() {
                                std::to_string(a);
         edge_up_[slot(edge, half_k_, a)] =
             static_cast<std::uint32_t>(links_.size());
-        add_link(en + "->" + an, edge, agg_base + agg, host);
+        add_link(en + "->" + an, edge, agg_base + agg, kHostLink);
         edge_down_[slot(edge, half_k_, a)] =
             static_cast<std::uint32_t>(links_.size());
-        add_link(an + "->" + en, agg_base + agg, edge, host);
+        add_link(an + "->" + en, agg_base + agg, edge, kHostLink);
       }
     }
   }
@@ -176,7 +163,7 @@ void Topology::build_edge_core() {
   // Uplink rate: aggregate host bandwidth under an edge (m links) is
   // `oversubscription` times the edge's aggregate uplink bandwidth
   // (u links), so each uplink serializes at host * u * r / m ps per byte.
-  const std::int64_t up_ps = spec_.host_link.ps_per_byte() * u *
+  const std::int64_t up_ps = kHostLink.ps_per_byte() * u *
                              spec_.oversubscription / m;
   const PerByteCost uplink = PerByteCost::picos_per_byte(
       up_ps > 0 ? up_ps : 1);
@@ -256,8 +243,7 @@ Topology::Path Topology::route(int src, int dst) const {
 }
 
 SimTime Topology::path_latency(int src, int dst) const {
-  return spec_.hop_latency *
-         static_cast<std::int64_t>(route(src, dst).hops);
+  return kHopLatency * static_cast<std::int64_t>(route(src, dst).hops);
 }
 
 double Topology::edge_uplink_bytes_per_sec(int e) const {

@@ -54,7 +54,13 @@ namespace sv::net {
 
 enum class TopologyKind { kSingleCrossbar, kFatTree, kEdgeCore };
 
-[[nodiscard]] const char* topology_kind_name(TopologyKind k);
+/// Serialization cost of a host-speed fabric link. 10 ns/B ≈ 800 Mbps,
+/// matching the cLAN DMA path the calibration profiles model.
+inline constexpr PerByteCost kHostLink = PerByteCost::picos_per_byte(10'000);
+
+/// Extra propagation per traversed fabric link (switch transit latency).
+/// Pure latency, not occupancy, so it cannot reorder frames.
+inline constexpr SimTime kHopLatency = SimTime::nanoseconds(500);
 
 struct TopologySpec {
   TopologyKind kind = TopologyKind::kSingleCrossbar;
@@ -72,14 +78,6 @@ struct TopologySpec {
   /// bandwidth of the links above it. r = 1 is full bisection. Integer so
   /// link serialization costs stay exact.
   int oversubscription = 1;
-
-  /// Serialization cost of a host-speed fabric link. 10 ns/B ≈ 800 Mbps,
-  /// matching the cLAN DMA path the calibration profiles model.
-  PerByteCost host_link = PerByteCost::picos_per_byte(10'000);
-
-  /// Extra propagation per traversed fabric link (switch transit latency).
-  /// Pure latency, not occupancy, so it cannot reorder frames.
-  SimTime hop_latency = SimTime::nanoseconds(500);
 
   [[nodiscard]] static TopologySpec single_crossbar();
   [[nodiscard]] static TopologySpec fat_tree(int k, int oversubscription = 1);
@@ -146,7 +144,7 @@ class Topology {
     return route(src, dst).hops;
   }
 
-  /// Extra propagation latency of the routed path (hops * hop_latency).
+  /// Extra propagation latency of the routed path (hops * kHopLatency).
   [[nodiscard]] SimTime path_latency(int src, int dst) const;
 
   /// Aggregate uplink bandwidth leaving edge switch `e`, in bytes/second

@@ -72,13 +72,4 @@ class Resource {
   mutable std::int64_t busy_integral_ns_ = 0;
 };
 
-/// A full-duplex point-to-point pipe modelled as two independent
-/// single-server resources (TX of the sender side, RX of the receiver side).
-struct DuplexPort {
-  DuplexPort(Simulation* sim, const std::string& name)
-      : tx(sim, 1, name + ".tx"), rx(sim, 1, name + ".rx") {}
-  Resource tx;
-  Resource rx;
-};
-
 }  // namespace sv::sim

@@ -156,7 +156,6 @@ class Simulation {
   /// Processes not yet finished (stages are not processes).
   [[nodiscard]] std::size_t live_process_count() const;
   [[nodiscard]] std::vector<std::string> blocked_process_names() const;
-  [[nodiscard]] bool shutting_down() const { return shutting_down_; }
   [[nodiscard]] std::uint64_t events_fired() const {
     return engine_.events_fired();
   }

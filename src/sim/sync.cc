@@ -1,7 +1,5 @@
 #include "sim/sync.h"
 
-#include <limits>
-
 #include "common/check.h"
 
 namespace sv::sim {
@@ -74,29 +72,6 @@ std::size_t WaitQueue::waiter_count() const {
     if (!waiters_[i].done()) ++n;
   }
   return n;
-}
-
-void Semaphore::acquire() {
-  while (count_ <= 0) {
-    queue_.wait();
-  }
-  --count_;
-  SV_DCHECK(count_ >= 0, "Semaphore: count went negative");
-}
-
-bool Semaphore::try_acquire() {
-  if (count_ <= 0) return false;
-  --count_;
-  return true;
-}
-
-void Semaphore::release() {
-  // Overflow here means unbalanced release() calls (the semaphore analogue
-  // of a double-release).
-  SV_ASSERT(count_ < std::numeric_limits<std::int64_t>::max(),
-            "Semaphore: release overflow (unbalanced release calls)");
-  ++count_;
-  queue_.notify_one();
 }
 
 }  // namespace sv::sim

@@ -19,7 +19,7 @@
 namespace sv::sim {
 
 /// A FIFO queue of blocked processes and suspended stages; the building
-/// block for conditions, semaphores and channels.
+/// block for conditions and channels.
 class WaitQueue {
  public:
   explicit WaitQueue(Simulation* sim, std::string name = "waitq")
@@ -57,7 +57,6 @@ class WaitQueue {
   void notify_all();
 
   [[nodiscard]] std::size_t waiter_count() const;
-  [[nodiscard]] bool has_waiters() const { return waiter_count() > 0; }
 
  private:
   /// A timed waiter's outcome, co-owned by its timeout event.
@@ -79,27 +78,6 @@ class WaitQueue {
   Simulation* sim_;
   std::string name_;
   RingFifo<Waiter> waiters_;
-};
-
-/// Counting semaphore with FIFO handoff.
-class Semaphore {
- public:
-  Semaphore(Simulation* sim, std::int64_t initial, std::string name = "sem")
-      : count_(initial), queue_(sim, std::move(name)) {}
-
-  void acquire();
-  /// Non-blocking acquire; true on success.
-  bool try_acquire();
-  void release();
-
-  [[nodiscard]] std::int64_t count() const { return count_; }
-  [[nodiscard]] std::size_t waiter_count() const {
-    return queue_.waiter_count();
-  }
-
- private:
-  std::int64_t count_;
-  WaitQueue queue_;
 };
 
 /// Bounded (or unbounded with capacity 0 meaning "no limit") FIFO channel.

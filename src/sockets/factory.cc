@@ -80,10 +80,8 @@ SocketPair SocketFactory::connect(std::size_t src, std::size_t dst,
   }();
   if (copy_scale_pct_ > 0) {
     const auto profile = net::CalibrationProfile::for_transport(transport);
-    pair.first->set_copy_ablation(profile.copy_fixed, profile.copy_per_byte,
-                                  copy_scale_pct_);
-    pair.second->set_copy_ablation(profile.copy_fixed, profile.copy_per_byte,
-                                   copy_scale_pct_);
+    pair.first->set_copy_ablation(profile.copy_per_byte, copy_scale_pct_);
+    pair.second->set_copy_ablation(profile.copy_per_byte, copy_scale_pct_);
   }
   if (policy_config_.kind != mem::CopyPolicyKind::kStaticPool &&
       transport != net::Transport::kKernelTcp) {

@@ -29,8 +29,8 @@ class SocketFactory {
   void set_window_override(std::uint64_t bytes) { window_override_ = bytes; }
 
   /// Copy-cost ablation for subsequently connected sockets: every modeled
-  /// payload copy additionally charges (profile.copy_fixed +
-  /// copy_per_byte*n) * pct / 100 of sim time to the copying process.
+  /// payload copy additionally charges profile.copy_per_byte*n * pct / 100
+  /// of sim time to the copying process.
   /// 0 (default) = pure accounting. Only copying transports (kernel TCP)
   /// are affected; zero-copy transports record no copies to scale.
   void set_copy_cost_scale_pct(int pct) { copy_scale_pct_ = pct; }

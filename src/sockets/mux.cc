@@ -5,6 +5,18 @@
 #include "common/check.h"
 
 namespace sv::sockets {
+namespace {
+
+// Aggregate size caps: a batch closes at whichever limit hits first.
+constexpr std::uint64_t kAggregateMaxBytes = 64 * 1024;
+constexpr std::size_t kAggregateMaxMsgs = 64;
+static_assert(kAggregateMaxBytes > 0 && kAggregateMaxMsgs > 0,
+              "SendMux: aggregate caps must be positive");
+
+// Per-record framing overhead charged to the wire (conn id + length).
+constexpr std::uint64_t kHeaderBytes = 16;
+
+}  // namespace
 
 SendMux::State::State(sim::Simulation* sim_in, net::Cluster* cluster_in,
                       int node_in, SendMuxConfig cfg_in,
@@ -16,8 +28,6 @@ SendMux::State::State(sim::Simulation* sim_in, net::Cluster* cluster_in,
       on_delivery(std::move(on_delivery_in)),
       name("mux.node" + std::to_string(node_in)),
       work_waiters(sim_in, name + ".work") {
-  SV_ASSERT(cfg.aggregate_max_bytes > 0 && cfg.aggregate_max_msgs > 0,
-            "SendMux: aggregate caps must be positive");
   obs::Registry& reg = sim->obs().registry;
   const std::string nl = "{node=node" + std::to_string(node) + "}";
   reg.counter("mux.senders").inc();
@@ -55,16 +65,13 @@ SendMux::Lane& SendMux::State::lane(int dst) {
   auto it = lanes.find(dst);
   if (it != lanes.end()) return it->second;
   Lane& l = lanes[dst];
-  net::CalibrationProfile profile =
-      net::CalibrationProfile::for_transport(cfg.transport);
-  if (cfg.window_bytes > 0) profile.window_bytes = cfg.window_bytes;
   l.pipe = std::make_unique<net::Pipe>(
       sim, &cluster->node(static_cast<std::size_t>(node)),
-      &cluster->node(static_cast<std::size_t>(dst)), profile,
+      &cluster->node(static_cast<std::size_t>(dst)),
+      net::CalibrationProfile::for_transport(cfg.transport),
       name + "->" + std::to_string(dst));
   sim->spawn(name + ".sink" + std::to_string(dst),
              [self = shared_from_this(), dst] { self->sink_loop(dst); });
-  l.sink_spawned = true;
   return l;
 }
 
@@ -155,10 +162,6 @@ void SendMux::shutdown() {
 
 int SendMux::node() const { return st_->node; }
 
-std::size_t SendMux::open_connection_rows() const {
-  return st_->conn_dst.size();
-}
-
 std::uint64_t SendMux::batches() const { return st_->c_batches->value(); }
 
 std::uint64_t SendMux::drops() const { return st_->c_drops->value(); }
@@ -181,9 +184,9 @@ void SendMux::State::sender_loop() {
     SimTime policy_cost = SimTime::zero();
     // (buffer, bytes) pins owed a release once the aggregate has shipped.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> pinned;
-    while (!l.q.empty() && recs->size() < cfg.aggregate_max_msgs) {
-      const std::uint64_t need = cfg.header_bytes + l.q.front().bytes;
-      if (!recs->empty() && total + need > cfg.aggregate_max_bytes) break;
+    while (!l.q.empty() && recs->size() < kAggregateMaxMsgs) {
+      const std::uint64_t need = kHeaderBytes + l.q.front().bytes;
+      if (!recs->empty() && total + need > kAggregateMaxBytes) break;
       MuxRecord r = std::move(l.q.front());
       l.q.pop_front();
       l.queued_bytes -= r.bytes;
@@ -232,7 +235,6 @@ void SendMux::State::sender_loop() {
   for (auto& [dst, l] : lanes) {
     if (l.pipe) l.pipe->close();
   }
-  drained = true;
 }
 
 void SendMux::State::sink_loop(int dst) {

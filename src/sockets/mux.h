@@ -12,9 +12,9 @@
 //                        generator's kernel socket buffer would) and marks
 //                        the destination "interested".
 //   sender process       round-robins over interested destinations,
-//                        drains up to aggregate_max_{bytes,msgs} records
-//                        into one aggregate net::Message (per-record
-//                        framing header included), and blocks in
+//                        drains records up to the aggregate caps into
+//                        one aggregate net::Message (per-record framing
+//                        header included), and blocks in
 //                        Pipe::send — so fabric backpressure throttles
 //                        the mux without a thread per connection.
 //   sink process (1/pipe) receives aggregates at the destination, splits
@@ -64,17 +64,9 @@ struct MuxRecord {
 
 struct SendMuxConfig {
   net::Transport transport = net::Transport::kSocketVia;
-  /// Aggregate size caps: a batch closes at whichever limit hits first.
-  std::uint64_t aggregate_max_bytes = 64 * 1024;
-  std::size_t aggregate_max_msgs = 64;
-  /// Per-record framing overhead charged to the wire (conn id + length).
-  std::uint64_t header_bytes = 16;
   /// Per-destination send-queue bound; submit() beyond it drops (the
   /// open-loop analogue of a full kernel socket buffer).
   std::uint64_t queue_cap_bytes = 4 * 1024 * 1024;
-  /// Flow-control window override for the underlying pipes (0 = profile
-  /// default).
-  std::uint64_t window_bytes = 0;
   /// Selective-copy policy consulted per drained record in the sender
   /// process (DESIGN.md §14). kStaticPool (default) = no consult, no
   /// engine, digests unchanged.
@@ -140,7 +132,6 @@ class SendMux {
   void shutdown();
 
   [[nodiscard]] int node() const;
-  [[nodiscard]] std::size_t open_connection_rows() const;
   /// Aggregates sent so far (reporting).
   [[nodiscard]] std::uint64_t batches() const;
   /// Records dropped at full lanes so far (reporting).
@@ -154,7 +145,6 @@ class SendMux {
     std::deque<MuxRecord> q;
     std::uint64_t queued_bytes = 0;
     bool interested = false;
-    bool sink_spawned = false;
   };
 
   /// Mutable state co-owned by the sender/sink processes (Pipe-style), so
@@ -179,7 +169,6 @@ class SendMux {
     std::deque<int> interest;
     sim::WaitQueue work_waiters;
     bool stopping = false;
-    bool drained = false;
 
     std::uint64_t next_conn = 0;
     /// conn id -> destination node; erased on close_connection.

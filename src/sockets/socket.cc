@@ -94,16 +94,14 @@ void SvSocket::note_copy(CopyStage stage, std::uint64_t bytes) {
   if (copy_scale_pct_ > 0) {
     // Scaled copy time (ablation): integer ns arithmetic keeps the charge
     // bit-reproducible (no float time; svlint SV006).
-    const SimTime base = copy_fixed_ + copy_per_byte_.for_bytes(bytes);
+    const SimTime base = copy_per_byte_.for_bytes(bytes);
     const SimTime extra = SimTime::nanoseconds(
         base.ns() * copy_scale_pct_ / 100);
     if (extra > SimTime::zero()) sim_->delay(extra);
   }
 }
 
-void SvSocket::set_copy_ablation(SimTime copy_fixed, PerByteCost copy_per_byte,
-                                 int scale_pct) {
-  copy_fixed_ = copy_fixed;
+void SvSocket::set_copy_ablation(PerByteCost copy_per_byte, int scale_pct) {
   copy_per_byte_ = copy_per_byte;
   copy_scale_pct_ = scale_pct;
 }

@@ -93,13 +93,12 @@ class SvSocket {
   [[nodiscard]] SocketStats stats() const;
 
   /// Installs the copy-cost ablation: each modeled payload copy additionally
-  /// delays the caller by (copy_fixed + copy_per_byte*n) * scale_pct / 100.
+  /// delays the caller by copy_per_byte*n * scale_pct / 100.
   /// scale_pct = 0 (default) restores pure accounting — the calibrated
   /// profile already embeds real copy time (DESIGN.md §10). Zero-copy
   /// transports record no copies, so the knob is inert for them; that
   /// asymmetry is the ablation.
-  void set_copy_ablation(SimTime copy_fixed, PerByteCost copy_per_byte,
-                         int scale_pct);
+  void set_copy_ablation(PerByteCost copy_per_byte, int scale_pct);
 
   /// Installs the selective-copy policy consulted per outbound message on
   /// zero-copy transports (DESIGN.md §14). Null (the default) is the legacy
@@ -155,7 +154,6 @@ class SvSocket {
   obs::Hub* hub_ = nullptr;
   int node_id_ = -1;
   std::string label_;
-  SimTime copy_fixed_{};
   PerByteCost copy_per_byte_{};
   int copy_scale_pct_ = 0;
   std::shared_ptr<mem::CopyPolicy> policy_;

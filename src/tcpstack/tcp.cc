@@ -9,13 +9,24 @@
 #include "net/fault.h"
 
 namespace sv::tcpstack {
+namespace {
+
+// Delayed-ACK flush timeout (Linux-era default ~40 ms is far above any
+// latency this paper studies; 200 us keeps it visible but realistic for a
+// LAN benchmark kernel).
+constexpr SimTime kDelayedAckTimeout = SimTime::microseconds(200);
+
+// RTO ceiling for the exponential backoff (doubles per expiry).
+constexpr SimTime kRtoMax = SimTime::milliseconds(64);
+
+}  // namespace
 
 TcpConnection::TcpConnection(TcpStack* stack, std::string name,
                              TcpOptions options)
     : stack_(stack),
       name_(std::move(name)),
       options_(options),
-      rto_current_(options.rto_initial),
+      rto_current_(kRtoInitial),
       send_space_(&stack->sim(), name_ + ".sndbuf"),
       tx_wake_(&stack->sim(), name_ + ".txwake"),
       recv_wait_(&stack->sim(), name_ + ".rcvwait") {
@@ -288,7 +299,7 @@ void TcpConnection::on_rto_expiry() {
     in_recovery_episode_ = true;
     recovery_started_ = stack_->sim().now();
   }
-  rto_current_ = std::min(rto_current_ * 2, options_.rto_max);
+  rto_current_ = std::min(rto_current_ * 2, kRtoMax);
   retx_pending_ = true;
   tx_wake_.notify_all();
 }
@@ -350,7 +361,7 @@ void TcpConnection::maybe_ack() {
   }
   if (!ack_timer_armed_) {
     ack_timer_armed_ = true;
-    stack_->sim().schedule(options_.delayed_ack_timeout, [this] {
+    stack_->sim().schedule(kDelayedAckTimeout, [this] {
       ack_timer_armed_ = false;
       if (unacked_segments_ > 0) send_ack_now();
     });
@@ -390,7 +401,7 @@ void TcpConnection::on_ack(std::uint64_t ackno, bool pure) {
                     "recovery", ackno);
     }
     cancel_rto();
-    rto_current_ = options_.rto_initial;
+    rto_current_ = kRtoInitial;
     arm_rto();  // no-op when everything is acknowledged
     send_space_.notify_all();
     tx_wake_.notify_all();

@@ -49,24 +49,19 @@
 
 namespace sv::tcpstack {
 
+/// Initial retransmission timeout. Scaled for a microsecond-RTT LAN
+/// (kernels of the era clamped RTO to >= 200 ms, which would make lossy
+/// runs glacial in simulated time without changing the recovery logic);
+/// comfortably above the delayed-ACK timeout so lone segments do not
+/// spuriously retransmit.
+inline constexpr SimTime kRtoInitial = SimTime::milliseconds(1);
+
 struct TcpOptions {
   std::uint32_t mss = 1460;
   std::uint64_t send_buffer = 64 * 1024;
   std::uint64_t recv_buffer = 64 * 1024;
   bool nagle = true;
   bool delayed_ack = true;
-  /// Delayed-ACK flush timeout (Linux-era default ~40 ms is far above any
-  /// latency this paper studies; 200 us keeps it visible but realistic for
-  /// a LAN benchmark kernel).
-  SimTime delayed_ack_timeout = SimTime::microseconds(200);
-  /// Initial retransmission timeout. Scaled for a microsecond-RTT LAN
-  /// (kernels of the era clamped RTO to >= 200 ms, which would make lossy
-  /// runs glacial in simulated time without changing the recovery logic);
-  /// comfortably above the delayed-ACK timeout so lone segments do not
-  /// spuriously retransmit.
-  SimTime rto_initial = SimTime::milliseconds(1);
-  /// RTO ceiling for the exponential backoff (doubles per expiry).
-  SimTime rto_max = SimTime::milliseconds(64);
 };
 
 class TcpConnection;

@@ -65,7 +65,6 @@ void VizFilter::process(dc::FilterContext& ctx) {
       }
     }
     bytes_drawn_ += b->bytes;
-    ++buffers_drawn_;
   }
 }
 

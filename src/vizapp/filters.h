@@ -68,7 +68,6 @@ class VizFilter : public dc::Filter {
   void process(dc::FilterContext& ctx) override;
 
   [[nodiscard]] std::uint64_t bytes_drawn() const { return bytes_drawn_; }
-  [[nodiscard]] std::uint64_t buffers_drawn() const { return buffers_drawn_; }
   /// Count of payload-carrying buffers whose bytes did NOT match the
   /// deterministic pattern (end-to-end integrity check; 0 when healthy).
   [[nodiscard]] std::uint64_t payload_mismatches() const {
@@ -81,7 +80,6 @@ class VizFilter : public dc::Filter {
  private:
   PerByteCost compute_;
   std::uint64_t bytes_drawn_ = 0;
-  std::uint64_t buffers_drawn_ = 0;
   std::uint64_t payload_mismatches_ = 0;
   std::uint64_t payloads_verified_ = 0;
 };

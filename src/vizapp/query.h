@@ -20,15 +20,6 @@ enum class QueryType {
   kZoom,
 };
 
-[[nodiscard]] constexpr const char* query_type_name(QueryType t) {
-  switch (t) {
-    case QueryType::kComplete: return "complete";
-    case QueryType::kPartial: return "partial";
-    case QueryType::kZoom: return "zoom";
-  }
-  return "?";
-}
-
 struct Query {
   QueryType type = QueryType::kComplete;
   /// Starting block for partial/zoom queries (wraps around the image).

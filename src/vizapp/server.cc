@@ -7,13 +7,13 @@ namespace sv::viz {
 VizApp::VizApp(sim::Simulation* sim, net::Cluster* cluster,
                sockets::SocketFactory* factory, VizConfig config)
     : config_(config), image_(config.image_bytes, config.block_bytes) {
-  if (cluster->size() < config_.first_node + 3 * config_.copies + 1) {
+  if (cluster->size() < 3 * config_.copies + 1) {
     throw std::invalid_argument(
         "VizApp: cluster too small for 3 stages x copies + viz node");
   }
   dc::FilterGroup group;
   std::vector<std::size_t> repo_nodes, s1_nodes, s2_nodes;
-  std::size_t next = config_.first_node;
+  std::size_t next = 0;
   for (std::size_t i = 0; i < config_.copies; ++i) repo_nodes.push_back(next++);
   for (std::size_t i = 0; i < config_.copies; ++i) s1_nodes.push_back(next++);
   for (std::size_t i = 0; i < config_.copies; ++i) s2_nodes.push_back(next++);
@@ -71,10 +71,6 @@ std::optional<std::pair<std::uint64_t, SimTime>> VizApp::wait_done() {
   auto c = runtime_->wait_completion();
   if (!c) return std::nullopt;
   return std::make_pair(c->uow_id, c->at);
-}
-
-std::size_t VizApp::viz_node() const {
-  return config_.first_node + 3 * config_.copies;
 }
 
 }  // namespace sv::viz

@@ -28,8 +28,6 @@ struct VizConfig {
   PerByteCost stage_compute = PerByteCost::zero();
   PerByteCost viz_compute = PerByteCost::zero();
   dc::SchedPolicy policy = dc::SchedPolicy::kDemandDriven;
-  /// First cluster node used; stages occupy consecutive nodes.
-  std::size_t first_node = 0;
   /// Generate real pixel payloads at the repositories (verified at the viz
   /// filter); timing is unaffected, used for integrity testing.
   bool materialize_payloads = false;
@@ -43,7 +41,8 @@ struct VizConfig {
 
 class VizApp {
  public:
-  /// Requires a cluster with at least 3*copies + 1 nodes from first_node.
+  /// Requires a cluster with at least 3*copies + 1 nodes; the stages occupy
+  /// consecutive nodes from node 0, the viz filter the node after them.
   VizApp(sim::Simulation* sim, net::Cluster* cluster,
          sockets::SocketFactory* factory, VizConfig config);
 
@@ -62,8 +61,6 @@ class VizApp {
   [[nodiscard]] const BlockedImage& image() const { return image_; }
   [[nodiscard]] const VizConfig& config() const { return config_; }
   [[nodiscard]] dc::Runtime& runtime() { return *runtime_; }
-  /// Node index hosting the visualization filter.
-  [[nodiscard]] std::size_t viz_node() const;
   /// The sink filter instance (valid after start(); single copy).
   [[nodiscard]] const VizFilter* viz_filter() const { return viz_filter_; }
 

@@ -45,8 +45,7 @@ TEST(CopyPolicyTest, EagerCopyBillsCopyLedgerAndLinearCost) {
   CopyPolicy policy(&hub, 0, cfg);
   const std::uint64_t bytes = 4096;
   const auto v = policy.acquire(SimTime::zero(), 1, bytes);
-  EXPECT_EQ(v.cpu_cost,
-            cfg.copy_fixed + cfg.copy_per_byte.for_bytes(bytes));
+  EXPECT_EQ(v.cpu_cost, kCopyFixed + kCopyPerByte.for_bytes(bytes));
   EXPECT_EQ(v.copied_bytes, bytes);
   EXPECT_FALSE(v.needs_release);
   EXPECT_EQ(hub.registry.counter_value("mem.copies"), 1u);
@@ -66,14 +65,14 @@ TEST(CopyPolicyTest, RegisterOnFlyPinsThenUnpins) {
   CopyPolicy policy(&hub, 0, cfg);
   const std::uint64_t bytes = 65536;
   const auto v = policy.acquire(SimTime::zero(), 1, bytes);
-  EXPECT_EQ(v.cpu_cost, cfg.pin_fixed + cfg.pin_per_byte.for_bytes(bytes));
+  EXPECT_EQ(v.cpu_cost, kPinFixed + kPinPerByte.for_bytes(bytes));
   EXPECT_EQ(v.registered_bytes, bytes);
   EXPECT_EQ(v.copied_bytes, 0u);
   EXPECT_TRUE(v.needs_release);
   EXPECT_EQ(hub.registry.counter_value("mem.registrations"), 1u);
   EXPECT_EQ(hub.registry.counter_value("mem.registered_bytes"), bytes);
 
-  EXPECT_EQ(policy.release(SimTime::zero(), 1, bytes), cfg.unpin_fixed);
+  EXPECT_EQ(policy.release(SimTime::zero(), 1, bytes), kUnpinFixed);
   EXPECT_EQ(hub.registry.counter_value("mem.deregistrations"), 1u);
   EXPECT_EQ(hub.registry.counter_value("mem.deregistered_bytes"), bytes);
   // Zero copies: the whole point of pinning in place.
@@ -88,10 +87,10 @@ TEST(CopyPolicyTest, RegCostScaleScalesPinAndUnpinOnly) {
   CopyPolicy policy(&hub, 0, cfg);
   const std::uint64_t bytes = 1024;
   const auto v = policy.acquire(SimTime::zero(), 1, bytes);
-  const SimTime base = cfg.pin_fixed + cfg.pin_per_byte.for_bytes(bytes);
+  const SimTime base = kPinFixed + kPinPerByte.for_bytes(bytes);
   EXPECT_EQ(v.cpu_cost.ns(), base.ns() * 4);
   EXPECT_EQ(policy.release(SimTime::zero(), 1, bytes).ns(),
-            cfg.unpin_fixed.ns() * 4);
+            kUnpinFixed.ns() * 4);
 }
 
 TEST(CopyPolicyTest, RegCacheHitSkipsPinMissPays) {
@@ -103,13 +102,13 @@ TEST(CopyPolicyTest, RegCacheHitSkipsPinMissPays) {
   const std::uint64_t bytes = 65536;
 
   const auto miss = policy.acquire(SimTime::zero(), 9, bytes);
-  EXPECT_EQ(miss.cpu_cost, cfg.cache_lookup + cfg.pin_fixed +
-                               cfg.pin_per_byte.for_bytes(bytes));
+  EXPECT_EQ(miss.cpu_cost,
+            kCacheLookup + kPinFixed + kPinPerByte.for_bytes(bytes));
   EXPECT_EQ(miss.registered_bytes, bytes);
   EXPECT_FALSE(miss.needs_release);  // stays resident
 
   const auto hit = policy.acquire(SimTime::zero(), 9, bytes);
-  EXPECT_EQ(hit.cpu_cost, cfg.cache_lookup);
+  EXPECT_EQ(hit.cpu_cost, kCacheLookup);
   EXPECT_EQ(hit.registered_bytes, 0u);
   EXPECT_EQ(hub.registry.counter_value("mem.registrations"), 1u);
   ASSERT_NE(policy.cache(), nullptr);
@@ -128,7 +127,7 @@ TEST(CopyPolicyTest, RegCacheAnonymousBufferPinsPerMessage) {
     const auto v = policy.acquire(SimTime::zero(), 0, 4096);
     EXPECT_TRUE(v.needs_release);
     EXPECT_EQ(v.registered_bytes, 4096u);
-    EXPECT_EQ(policy.release(SimTime::zero(), 0, 4096), cfg.unpin_fixed);
+    EXPECT_EQ(policy.release(SimTime::zero(), 0, 4096), kUnpinFixed);
   }
   EXPECT_EQ(policy.cache()->resident(), 0u);
   EXPECT_EQ(hub.registry.counter_value("mem.registrations"), 2u);

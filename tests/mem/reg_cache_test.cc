@@ -169,7 +169,7 @@ TEST(RegCacheTest, CapacityZeroDegeneratesToRegisterOnTheFly) {
   EXPECT_EQ(hub_cache.registry.counter_value("mem.registrations"),
             static_cast<std::uint64_t>(kMsgs));
   EXPECT_EQ(cache_cost.ns(),
-            fly_cost.ns() + kMsgs * cache_cfg.cache_lookup.ns());
+            fly_cost.ns() + kMsgs * kCacheLookup.ns());
 }
 
 }  // namespace

@@ -64,7 +64,7 @@ TEST(Topology, FatTreeHopCountsMatchK) {
             EXPECT_EQ(hops, 4u) << "k=" << k << " " << a << "->" << b;
           }
           EXPECT_EQ(topo.path_latency(a, b),
-                    topo.spec().hop_latency * static_cast<std::int64_t>(hops));
+                    kHopLatency * static_cast<std::int64_t>(hops));
         }
       }
     }
@@ -157,8 +157,8 @@ TEST(Topology, OversubscriptionCapacityContract) {
       Simulation s;
       TopologySpec spec = TopologySpec::fat_tree(k, r);
       Topology topo(&s, spec, k * k * k / 4);
-      const double host_bps = 1e12 / static_cast<double>(
-          spec.host_link.ps_per_byte());
+      const double host_bps =
+          1e12 / static_cast<double>(kHostLink.ps_per_byte());
       const double hosts_under_edge = k / 2.0;
       for (int e = 0; e < topo.edge_switch_count(); ++e) {
         EXPECT_NEAR(hosts_under_edge * host_bps,
@@ -171,8 +171,8 @@ TEST(Topology, OversubscriptionCapacityContract) {
       Simulation s;
       TopologySpec spec = TopologySpec::edge_core(16, 2, r);
       Topology topo(&s, spec, 64);
-      const double host_bps = 1e12 / static_cast<double>(
-          spec.host_link.ps_per_byte());
+      const double host_bps =
+          1e12 / static_cast<double>(kHostLink.ps_per_byte());
       for (int e = 0; e < topo.edge_switch_count(); ++e) {
         EXPECT_NEAR(16 * host_bps, r * topo.edge_uplink_bytes_per_sec(e),
                     1e-2 * 16 * host_bps)
@@ -224,7 +224,7 @@ TEST(Topology, TraverseChargesEveryLinkOnThePath) {
   }
   // Serialization time accumulated once per hop.
   EXPECT_GE(s.now().ns(),
-            4 * topo->spec().host_link.for_bytes(10'000).ns());
+            4 * kHostLink.for_bytes(10'000).ns());
 }
 
 TEST(Topology, SharedUplinkContentionQueues) {
@@ -276,8 +276,7 @@ TEST(Topology, PipeOverFabricChargesUplinksAndLatency) {
   TopologySpec ft = TopologySpec::fat_tree(4);
   const SimTime routed = run_once(ft);
   // 4 hops of switch latency plus per-hop serialization of one frame.
-  const SimTime floor =
-      flat + ft.hop_latency * 4;
+  const SimTime floor = flat + kHopLatency * 4;
   EXPECT_GE(routed, floor);
 }
 

@@ -149,24 +149,5 @@ TEST(ResourceTest, UtilizationAccounting) {
   EXPECT_EQ(r.busy_ns(), 50'000);
 }
 
-TEST(ResourceTest, DuplexPortIndependentDirections) {
-  Simulation s;
-  DuplexPort port(&s, "nic0");
-  std::vector<SimTime> done;
-  s.spawn("sender", [&] {
-    port.tx.use(10_us);
-    done.push_back(s.now());
-  });
-  s.spawn("receiver", [&] {
-    port.rx.use(10_us);
-    done.push_back(s.now());
-  });
-  s.run();
-  // Full duplex: both complete at 10us, not serialized.
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_EQ(done[0], 10_us);
-  EXPECT_EQ(done[1], 10_us);
-}
-
 }  // namespace
 }  // namespace sv::sim

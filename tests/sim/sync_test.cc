@@ -130,39 +130,6 @@ TEST(WaitQueueTest, TimedOutEntrySkippedByLaterNotify) {
             (std::vector<std::string>{"timed-timeout", "patient"}));
 }
 
-TEST(SemaphoreTest, AcquireReleaseCounts) {
-  Simulation s;
-  Semaphore sem(&s, 2);
-  std::vector<SimTime> entry_times;
-  for (int i = 0; i < 4; ++i) {
-    s.spawn("p" + std::to_string(i), [&] {
-      sem.acquire();
-      entry_times.push_back(s.now());
-      s.delay(10_us);
-      sem.release();
-    });
-  }
-  s.run();
-  ASSERT_EQ(entry_times.size(), 4u);
-  // Two enter immediately, two wait for the first pair to release.
-  EXPECT_EQ(entry_times[0], SimTime::zero());
-  EXPECT_EQ(entry_times[1], SimTime::zero());
-  EXPECT_EQ(entry_times[2], 10_us);
-  EXPECT_EQ(entry_times[3], 10_us);
-}
-
-TEST(SemaphoreTest, TryAcquire) {
-  Simulation s;
-  Semaphore sem(&s, 1);
-  s.spawn("p", [&] {
-    EXPECT_TRUE(sem.try_acquire());
-    EXPECT_FALSE(sem.try_acquire());
-    sem.release();
-    EXPECT_TRUE(sem.try_acquire());
-  });
-  s.run();
-}
-
 TEST(ChannelTest, SendRecvTransfersValue) {
   Simulation s;
   Channel<int> ch(&s, 1);

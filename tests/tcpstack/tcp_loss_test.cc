@@ -51,7 +51,7 @@ TEST(TcpLossTest, RtoExpiryRetransmitsLoneSegment) {
   EXPECT_GE(sender->segments_retransmitted(), 1u);
   EXPECT_EQ(sender->fast_retransmits(), 0u);
   // The byte could not arrive before one full RTO had elapsed.
-  EXPECT_GE(delivered, TcpOptions{}.rto_initial);
+  EXPECT_GE(delivered, kRtoInitial);
 }
 
 TEST(TcpLossTest, RtoBacksOffExponentiallyAndResetsOnAck) {
@@ -78,7 +78,7 @@ TEST(TcpLossTest, RtoBacksOffExponentiallyAndResetsOnAck) {
     a->close();
   });
   f.s.run();
-  const SimTime rto = TcpOptions{}.rto_initial;
+  const SimTime rto = kRtoInitial;
   EXPECT_EQ(sender->rto_expirations(), 3u);
   EXPECT_EQ(sender->segments_retransmitted(), 3u);
   EXPECT_GE(delivered, rto * 7);  // 1 + 2 + 4 RTOs of waiting
@@ -118,7 +118,7 @@ TEST(TcpLossTest, FastRetransmitAfterThreeDupAcks) {
   EXPECT_GE(receiver->ooo_segments_received(), 3u);
   EXPECT_EQ(sender->segments_retransmitted(), 1u);
   // Dup-ACK recovery beats the timer by an order of magnitude.
-  EXPECT_LT(delivered, TcpOptions{}.rto_initial);
+  EXPECT_LT(delivered, kRtoInitial);
 }
 
 TEST(TcpLossTest, LossFreeRunsKeepCountersAtZero) {
