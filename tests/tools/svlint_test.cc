@@ -324,41 +324,6 @@ TEST(IncludeGraph, ModuleRanksDeclareTheDag) {
   EXPECT_EQ(module_rank("not_a_module"), -1);
 }
 
-TEST(IncludeGraph, ResolvesIncludesOverASyntheticTree) {
-  IncludeGraph g;
-  g.add_file("src/common/units.h", {});
-  g.add_file("src/net/fabric.h", {{"common/units.h", false, 1}});
-  g.add_file("src/net/fabric.cc", {{"net/fabric.h", false, 1},
-                                   {"vector", true, 2}});
-  g.add_file("src/sockets/socket.h", {{"net/fabric.h", false, 1}});
-  g.add_file("tools/svlint/lexer.h", {});
-  g.add_file("tools/svlint/lexer.cc", {{"lexer.h", false, 1}});
-  g.finalize();
-
-  EXPECT_EQ(g.includes_of("src/net/fabric.cc"),
-            (std::vector<std::string>{"src/net/fabric.h"}))
-      << "src/-relative resolution; angled includes dropped";
-  EXPECT_EQ(g.includes_of("tools/svlint/lexer.cc"),
-            (std::vector<std::string>{"tools/svlint/lexer.h"}))
-      << "includer-directory-relative resolution";
-
-  // A change to the bottom header must re-scan its whole reverse closure.
-  const auto dep = g.dependents_of({"src/common/units.h"});
-  EXPECT_EQ(dep, (std::set<std::string>{
-                     "src/common/units.h", "src/net/fabric.h",
-                     "src/net/fabric.cc", "src/sockets/socket.h"}));
-  // An isolated leaf re-scans only itself.
-  const auto leaf = g.dependents_of({"tools/svlint/lexer.cc"});
-  EXPECT_EQ(leaf, (std::set<std::string>{"tools/svlint/lexer.cc"}));
-
-  // Module projection: self-edges dropped, non-src/ files excluded.
-  const auto edges = g.module_edges();
-  ASSERT_EQ(edges.count("net"), 1u);
-  EXPECT_EQ(edges.at("net"), (std::set<std::string>{"common"}));
-  ASSERT_EQ(edges.count("sockets"), 1u);
-  EXPECT_EQ(edges.at("sockets"), (std::set<std::string>{"net"}));
-}
-
 TEST(SvlintLexer, RawStringsCommentsAndIncludesAreNotCode) {
   const std::string text =
       "#include \"net/fabric.h\"\n"

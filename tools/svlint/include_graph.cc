@@ -1,8 +1,5 @@
 #include "include_graph.h"
 
-#include <algorithm>
-#include <deque>
-
 namespace sv::lint {
 namespace {
 
@@ -19,12 +16,6 @@ constexpr ModuleRank kLayering[] = {
     {"mem", 4},        {"net", 5},      {"tcpstack", 6}, {"via", 6},
     {"sockets", 7},    {"datacutter", 8}, {"vizapp", 9}, {"harness", 10},
 };
-
-std::string dir_of(const std::string& rel_path) {
-  const std::size_t slash = rel_path.rfind('/');
-  return slash == std::string::npos ? std::string()
-                                    : rel_path.substr(0, slash);
-}
 
 }  // namespace
 
@@ -50,85 +41,6 @@ std::string layering_description() {
     if (!out.empty()) out += m.rank == prev_rank ? " = " : " < ";
     out += m.module;
     prev_rank = m.rank;
-  }
-  return out;
-}
-
-void IncludeGraph::add_file(const std::string& rel_path,
-                            const std::vector<Include>& includes) {
-  raw_[rel_path] = includes;
-}
-
-void IncludeGraph::finalize() {
-  fwd_.clear();
-  rev_.clear();
-  for (const auto& [file, includes] : raw_) {
-    std::vector<std::string> resolved;
-    for (const Include& inc : includes) {
-      if (inc.angled) continue;
-      const std::string local_dir = dir_of(file);
-      const std::string candidates[] = {
-          "src/" + inc.path,
-          local_dir.empty() ? inc.path : local_dir + "/" + inc.path,
-          inc.path,
-      };
-      for (const std::string& cand : candidates) {
-        if (raw_.count(cand) != 0) {
-          resolved.push_back(cand);
-          break;
-        }
-      }
-    }
-    std::sort(resolved.begin(), resolved.end());
-    resolved.erase(std::unique(resolved.begin(), resolved.end()),
-                   resolved.end());
-    for (const std::string& inc : resolved) rev_[inc].insert(file);
-    fwd_[file] = std::move(resolved);
-  }
-}
-
-const std::vector<std::string>& IncludeGraph::includes_of(
-    const std::string& rel_path) const {
-  static const std::vector<std::string> kEmpty;
-  const auto it = fwd_.find(rel_path);
-  return it == fwd_.end() ? kEmpty : it->second;
-}
-
-std::set<std::string> IncludeGraph::dependents_of(
-    const std::set<std::string>& changed) const {
-  std::set<std::string> out;
-  std::deque<std::string> queue;
-  for (const std::string& f : changed) {
-    if (out.insert(f).second) queue.push_back(f);
-  }
-  while (!queue.empty()) {
-    const std::string f = queue.front();
-    queue.pop_front();
-    const auto it = rev_.find(f);
-    if (it == rev_.end()) continue;
-    for (const std::string& includer : it->second) {
-      if (out.insert(includer).second) queue.push_back(includer);
-    }
-  }
-  // Only files actually registered belong in a scan set (a deleted file can
-  // appear in `changed` via git diff).
-  std::set<std::string> known;
-  for (const std::string& f : out) {
-    if (raw_.count(f) != 0) known.insert(f);
-  }
-  return known;
-}
-
-std::map<std::string, std::set<std::string>> IncludeGraph::module_edges()
-    const {
-  std::map<std::string, std::set<std::string>> out;
-  for (const auto& [file, includes] : fwd_) {
-    const std::string from = module_of(file);
-    if (from.empty()) continue;
-    for (const std::string& inc : includes) {
-      const std::string to = module_of(inc);
-      if (!to.empty() && to != from) out[from].insert(to);
-    }
   }
   return out;
 }

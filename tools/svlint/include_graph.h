@@ -1,23 +1,14 @@
-// Include graph + declared layering DAG over src/.
+// The declared layering DAG over src/.
 //
 // The source tree is layered (DESIGN.md §11): a module may include itself
 // and strictly lower layers only, so refactors cannot silently tangle e.g.
-// the simulator core into the transport implementations. The table below IS
-// the declaration — changing the architecture means changing this table in
-// the same commit, where the diff is visible.
-//
-// The graph itself (file-level edges, resolved against the scanned file
-// set) powers `--since`: when a header changes, every file that transitively
-// includes it is re-scanned, so an incremental run can never miss a finding
-// that a full run would report.
+// the simulator core into the transport implementations. The table in
+// include_graph.cc IS the declaration — changing the architecture means
+// changing that table in the same commit, where the diff is visible. SV009
+// checks each file's raw #include directives against it.
 #pragma once
 
-#include <map>
-#include <set>
 #include <string>
-#include <vector>
-
-#include "lexer.h"
 
 namespace sv::lint {
 
@@ -32,37 +23,5 @@ std::string module_of(const std::string& rel_path);
 /// Human-readable "common < obs < sim < ..." rendering of the declared DAG,
 /// for rule messages and --list-rules.
 std::string layering_description();
-
-class IncludeGraph {
- public:
-  /// Registers one scanned file and its #include directives. Quoted
-  /// includes are resolved later, against the set of files added.
-  void add_file(const std::string& rel_path,
-                const std::vector<Include>& includes);
-
-  /// Resolves every quoted include: a path is looked up as src/-relative
-  /// ("common/result.h"), includer-directory-relative ("svlint.h"), then
-  /// repo-root-relative. Unresolvable includes (system headers spelled with
-  /// quotes, generated files) are dropped.
-  void finalize();
-
-  /// Resolved forward edges of one file, sorted. finalize() first.
-  const std::vector<std::string>& includes_of(const std::string& rel_path)
-      const;
-
-  /// `changed` plus every added file that transitively includes a member of
-  /// `changed` — the minimal sound re-scan set for an incremental run.
-  std::set<std::string> dependents_of(const std::set<std::string>& changed)
-      const;
-
-  /// Module-level projection of the file edges: module -> set of modules it
-  /// includes (src/ files only, self-edges dropped). Sorted by construction.
-  std::map<std::string, std::set<std::string>> module_edges() const;
-
- private:
-  std::map<std::string, std::vector<Include>> raw_;       // as added
-  std::map<std::string, std::vector<std::string>> fwd_;   // resolved
-  std::map<std::string, std::set<std::string>> rev_;      // included -> includers
-};
 
 }  // namespace sv::lint

@@ -3,15 +3,12 @@
 // suppressed inline (svlint:allow).
 //
 //   svlint --root <repo> [--verbose] [--list-rules] [--json FILE]
-//          [--since REF] [--check-manifest] [paths...]
+//          [--check-manifest] [paths...]
 //
 // Paths are directories or files relative to --root; the default scan set
-// is "src bench examples tools" (the tool scans itself). --since REF scans
-// only files changed versus the git ref *plus every file that transitively
-// includes a changed header* (the include graph makes incremental runs
-// sound). Run from CTest as `svlint_src`/`svlint_manifest` and from CI.
+// is "src bench examples tools" (the tool scans itself). Run from CTest as
+// `svlint_src`/`svlint_manifest` and from CI.
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -44,42 +41,18 @@ std::string read_file(const fs::path& p) {
   return ss.str();
 }
 
-// Repo-relative paths changed versus `ref`, per git. Empty on git failure
-// (the caller then falls back to a full scan).
-std::vector<std::string> changed_since(const fs::path& root,
-                                       const std::string& ref, bool* ok) {
-  const std::string cmd = "git -C '" + root.string() +
-                          "' diff --name-only '" + ref + "' 2>/dev/null";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  *ok = false;
-  if (pipe == nullptr) return {};
-  std::string output;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = fread(buf, 1, sizeof buf, pipe)) > 0) output.append(buf, n);
-  *ok = pclose(pipe) == 0;
-  std::vector<std::string> files;
-  std::istringstream lines(output);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (!line.empty()) files.push_back(line);
-  }
-  return files;
-}
-
 struct Options {
   fs::path root = fs::current_path();
   std::vector<std::string> targets;
   bool verbose = false;
   std::string json_path;
-  std::string since_ref;
   bool check_manifest = false;
 };
 
 int usage(int code) {
   (code == 0 ? std::cout : std::cerr)
       << "usage: svlint [--root DIR] [--verbose] [--list-rules] "
-         "[--json FILE] [--since REF] [--check-manifest] [paths...]\n";
+         "[--json FILE] [--check-manifest] [paths...]\n";
   return code;
 }
 
@@ -107,10 +80,6 @@ int main(int argc, char** argv) {
       const char* v = need_arg(i);
       if (v == nullptr) return 2;
       opt.json_path = v;
-    } else if (arg == "--since") {
-      const char* v = need_arg(i);
-      if (v == nullptr) return 2;
-      opt.since_ref = v;
     } else if (arg == "--check-manifest") {
       opt.check_manifest = true;
     } else if (arg == "--list-rules") {
@@ -155,42 +124,20 @@ int main(int argc, char** argv) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  // Lex every file once: the include graph always covers the full scan set
-  // (an incremental run must see edges through unchanged headers), the
-  // rules then run on the selected subset.
-  std::map<std::string, sv::lint::LexedFile> lexed;
-  sv::lint::IncludeGraph graph;
-  for (const std::string& rel : files) {
-    lexed[rel] = sv::lint::lex(read_file(opt.root / rel));
-    graph.add_file(rel, lexed[rel].includes);
-  }
-  graph.finalize();
-
-  std::set<std::string> selected(files.begin(), files.end());
-  if (!opt.since_ref.empty()) {
-    bool git_ok = false;
-    const std::vector<std::string> changed =
-        changed_since(opt.root, opt.since_ref, &git_ok);
-    if (!git_ok) {
-      std::cerr << "svlint: git diff against '" << opt.since_ref
-                << "' failed; scanning everything\n";
-    } else {
-      std::set<std::string> seeds;
-      for (const std::string& f : changed) {
-        if (selected.count(f) != 0) seeds.insert(f);
-      }
-      selected = graph.dependents_of(seeds);
-    }
-  }
-
   const sv::lint::ProjectContext ctx = sv::lint::load_project(opt.root);
 
+  // Lex each file once, for the rules and for the metric families the
+  // manifest check collects.
   std::vector<sv::lint::Finding> all;
-  std::size_t failing = 0, suppressed = 0;
+  std::set<std::string> created;
   for (const std::string& rel : files) {
-    if (selected.count(rel) == 0) continue;
-    for (auto& f : sv::lint::scan_lexed(rel, lexed[rel], &ctx)) {
+    const sv::lint::LexedFile lx = sv::lint::lex(read_file(opt.root / rel));
+    for (auto& f : sv::lint::scan_lexed(rel, lx, &ctx)) {
       all.push_back(std::move(f));
+    }
+    if (opt.check_manifest) {
+      const auto fams = sv::lint::collect_metric_families(lx);
+      created.insert(fams.begin(), fams.end());
     }
   }
 
@@ -202,11 +149,6 @@ int main(int argc, char** argv) {
       std::cerr << "svlint: --check-manifest but src/obs/metrics_manifest"
                    ".txt is missing\n";
       return 2;
-    }
-    std::set<std::string> created;
-    for (const auto& [rel, lx] : lexed) {
-      const auto fams = sv::lint::collect_metric_families(lx);
-      created.insert(fams.begin(), fams.end());
     }
     for (const auto& [family, line] : ctx.metric_manifest) {
       if (created.count(family) == 0) {
@@ -220,6 +162,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::size_t failing = 0, suppressed = 0;
   for (const auto& f : all) {
     if (f.suppressed) {
       ++suppressed;
@@ -243,8 +186,7 @@ int main(int argc, char** argv) {
     sv::lint::write_findings_json(js, all);
   }
 
-  std::cout << "svlint: " << selected.size() << "/" << files.size()
-            << " files scanned, " << failing << " finding(s), " << suppressed
-            << " suppressed\n";
+  std::cout << "svlint: " << files.size() << " files scanned, " << failing
+            << " finding(s), " << suppressed << " suppressed\n";
   return failing == 0 ? 0 : 1;
 }

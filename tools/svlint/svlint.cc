@@ -720,7 +720,7 @@ void check_sv013(const std::string& rel_path, const Tokens& t,
       continue;
     }
     // (b) acquire() on a BufferPool receiver. acquire() is a common verb
-    // (sim::Resource, Semaphore, EventArena, CopyPolicy), so the receiver
+    // (sim::Resource, EventArena, CopyPolicy), so the receiver
     // must be declared BufferPool in this file or carry a pool-ish name.
     if (!I(t, i + 1, "acquire") || !P(t, i + 2, "(")) continue;
     if (!is_ident(t, i - 1)) continue;

@@ -9,9 +9,8 @@
 //
 // v2 is token-level rather than line-regex: one lexer (lexer.h) strips
 // comments/strings/raw strings exactly once, rules consume token streams
-// (so multi-line constructs match), and an include-graph builder
-// (include_graph.h) gives rules the architecture view — the declared
-// layering DAG (SV009) and the reverse dependency closure behind --since.
+// (so multi-line constructs match), and include_graph.h gives rules the
+// architecture view — the declared layering DAG (SV009).
 // It is still not a compiler plugin: no preprocessing, no name lookup.
 // False positives have a suppression escape hatch:
 //
@@ -69,7 +68,7 @@ std::vector<Finding> scan_source(const std::string& rel_path,
                                  const ProjectContext* ctx = nullptr);
 
 /// Same, over an already-lexed file (the CLI lexes each file once for both
-/// the include graph and the rules).
+/// the rules and the manifest check).
 std::vector<Finding> scan_lexed(const std::string& rel_path,
                                 const LexedFile& lx,
                                 const ProjectContext* ctx = nullptr);
