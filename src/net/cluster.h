@@ -1,7 +1,7 @@
 // The simulated cluster: nodes with CPU and network-path resources.
 //
 // Mirrors the paper's testbed shape: N nodes, each with two cores and a
-// NIC. Per node we model three contended service points:
+// NIC. Per node we model four contended service points:
 //   cpu      - application computation (filters), capacity = cores
 //   tx_host  - sender-side host path (syscall/copy or doorbell), capacity 1
 //   link_in  - inbound link/DMA path at the receiver, capacity 1
