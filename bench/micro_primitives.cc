@@ -30,6 +30,35 @@ void BM_EngineScheduleFire(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleFire);
 
+/// One link of a self-rescheduling event chain: each firing schedules the
+/// chain's next event `gap` later while the shared budget lasts.
+struct ChainLink {
+  sim::Engine* e;
+  int* budget;
+  SimTime gap;
+  void operator()() const {
+    if (--*budget >= 0) e->schedule(gap, ChainLink(*this));
+  }
+};
+
+void BM_EngineEventChain(benchmark::State& state) {
+  // Per-event cost at the pending-set size the workloads keep: 8 chains
+  // with distinct gaps, so about 8 events are pending at every pop.
+  constexpr int kChains = 8;
+  constexpr int kEvents = 8000;
+  for (auto _ : state) {
+    sim::Engine e;
+    int budget = kEvents - kChains;  // reschedules after the first events
+    for (int c = 0; c < kChains; ++c) {
+      e.schedule(SimTime(c), ChainLink{&e, &budget, SimTime(1000 + 7 * c)});
+    }
+    e.run();
+    benchmark::DoNotOptimize(e.now());
+  }
+  state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_EngineEventChain);
+
 void BM_ProcessHandoff(benchmark::State& state) {
   // Cost of one process suspend/resume round (two fiber switches).
   for (auto _ : state) {
@@ -90,7 +119,7 @@ void BM_ResourceUse(benchmark::State& state) {
     sim::Simulation s;
     sim::Resource r(&s, 2);
     for (int p = 0; p < 4; ++p) {
-      s.spawn("p" + std::to_string(p), [&] {
+      s.spawn(std::string("p").append(std::to_string(p)), [&] {
         for (int i = 0; i < 250; ++i) r.use(1_us);
       });
     }

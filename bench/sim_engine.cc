@@ -126,9 +126,9 @@ void mix_long_horizon(Engine& e, std::mt19937_64& rng, std::uint64_t events) {
 void mix_cancel_heavy(Engine& e, std::mt19937_64& rng,
                       std::uint64_t transfers) {
   std::uniform_int_distribution<std::int64_t> jitter(0, 2'000);  // ns
-  std::uint64_t timer = 0;
+  sim::EventId timer{};
   for (std::uint64_t i = 0; i < transfers; ++i) {
-    if (timer != 0) {
+    if (timer.id != 0) {
       const bool ok = e.cancel(timer);
       SV_ASSERT(ok, "RTO timer vanished before cancel");
     }
@@ -149,7 +149,7 @@ void mix_open_loop(Engine& e, std::mt19937_64& rng, std::uint64_t arrivals) {
   std::uniform_int_distribution<std::int64_t> gap(1, 40'000);     // ns
   std::uniform_int_distribution<std::int64_t> wire(500, 20'000);  // ns
   std::uniform_int_distribution<int> fanout(2, 6);
-  std::uint64_t drain_timer = 0;
+  sim::EventId drain_timer{};
   for (std::uint64_t i = 0; i < arrivals; ++i) {
     // Exponential-ish arrival gap via min of two uniforms (cheap, seeded).
     const std::int64_t g = std::min(gap(rng), gap(rng));
@@ -158,11 +158,11 @@ void mix_open_loop(Engine& e, std::mt19937_64& rng, std::uint64_t arrivals) {
     for (int j = 0; j < burst; ++j) {
       e.schedule_at(at + SimTime::nanoseconds(wire(rng)), [] {});
     }
-    if (drain_timer != 0) (void)e.cancel(drain_timer);
+    if (drain_timer.id != 0) (void)e.cancel(drain_timer);
     drain_timer = e.schedule(SimTime::milliseconds(5), [] {});
     e.run_until(at);
   }
-  if (drain_timer != 0) (void)e.cancel(drain_timer);
+  if (drain_timer.id != 0) (void)e.cancel(drain_timer);
   e.run();
 }
 

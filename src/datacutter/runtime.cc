@@ -328,7 +328,11 @@ Runtime::Runtime(sim::Simulation* sim, net::Cluster* cluster,
   group_.validate();
   auto& serial = sim_->obs().registry.counter("dc.runtimes");
   serial.inc();
-  core_->obs_prefix = "r" + std::to_string(serial.value()) + ".";
+  // Appended piecewise: "r" + std::to_string(...) trips a false GCC 12
+  // -Wrestrict in Release builds.
+  core_->obs_prefix = "r";
+  core_->obs_prefix += std::to_string(serial.value());
+  core_->obs_prefix += '.';
 }
 
 Runtime::~Runtime() = default;

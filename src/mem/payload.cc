@@ -28,15 +28,22 @@ Payload Payload::copy_of(const std::byte* src, std::size_t n) {
   return wrap(std::move(bytes));
 }
 
+std::span<const Payload::Span> Payload::spans() const {
+  if (const Span* one = std::get_if<Span>(&rep_)) {
+    return {one, one->len == 0 ? 0u : 1u};
+  }
+  return std::get<Chain>(rep_).spans;
+}
+
 bool Payload::materialized() const {
   if (empty()) return false;
-  return std::all_of(spans_.begin(), spans_.end(),
-                     [](const Span& s) { return s.bytes != nullptr; });
+  return std::ranges::all_of(
+      spans(), [](const Span& s) { return s.bytes != nullptr; });
 }
 
 bool Payload::registered() const {
   if (empty()) return false;
-  return std::all_of(spans_.begin(), spans_.end(), [](const Span& s) {
+  return std::ranges::all_of(spans(), [](const Span& s) {
     return s.bytes != nullptr && s.registered;
   });
 }
@@ -49,7 +56,7 @@ Payload Payload::slice(std::uint64_t offset, std::uint64_t len) const {
   if (len == 0) return out;
   std::uint64_t skip = offset;
   std::uint64_t want = len;
-  for (const Span& s : spans_) {
+  for (const Span& s : spans()) {
     if (skip >= s.len) {
       skip -= s.len;
       continue;
@@ -60,13 +67,13 @@ Payload Payload::slice(std::uint64_t offset, std::uint64_t len) const {
     want -= take;
     if (want == 0) break;
   }
-  SV_DCHECK(out.size_ == len, "slice assembled wrong length");
+  SV_DCHECK(out.size() == len, "slice assembled wrong length");
   return out;
 }
 
 Payload Payload::concat(const Payload& tail) const {
   Payload out = *this;
-  for (const Span& s : tail.spans_) out.append_span(s);
+  for (const Span& s : tail.spans()) out.append_span(s);
   return out;
 }
 
@@ -80,7 +87,7 @@ const std::byte* Payload::contiguous_at(std::uint64_t offset,
             "Payload: read past extent");
   SV_ASSERT(len > 0, "Payload: zero-length contiguous view");
   std::uint64_t skip = offset;
-  for (const Span& s : spans_) {
+  for (const Span& s : spans()) {
     if (skip >= s.len) {
       skip -= s.len;
       continue;
@@ -100,7 +107,7 @@ void Payload::copy_to(std::uint64_t offset, std::byte* dst,
             "Payload::copy_to out of range");
   std::uint64_t skip = offset;
   std::uint64_t want = len;
-  for (const Span& s : spans_) {
+  for (const Span& s : spans()) {
     if (want == 0) break;
     if (skip >= s.len) {
       skip -= s.len;
@@ -127,22 +134,35 @@ bool Payload::content_equals(const Payload& other) const {
 
 void Payload::append_span(Span s) {
   if (s.len == 0) return;
-  size_ += s.len;
   // Merge adjacent views of the same storage (a pop/slice boundary that
   // landed mid-buffer) so chains stay short on long streams.
-  if (!spans_.empty()) {
-    Span& back = spans_.back();
-    if (back.bytes != nullptr && back.bytes == s.bytes &&
-        back.offset + back.len == s.offset && back.registered == s.registered) {
-      back.len += s.len;
+  if (Span* one = std::get_if<Span>(&rep_)) {
+    if (one->len == 0) {
+      *one = std::move(s);
       return;
     }
-    if (back.bytes == nullptr && s.bytes == nullptr) {
-      back.len += s.len;
-      return;
-    }
+    if (extend(*one, s)) return;
+    Chain chain;
+    chain.size = one->len + s.len;
+    chain.spans.reserve(2);
+    chain.spans.push_back(std::move(*one));
+    chain.spans.push_back(std::move(s));
+    rep_ = std::move(chain);
+    return;
   }
-  spans_.push_back(std::move(s));
+  Chain& chain = std::get<Chain>(rep_);
+  chain.size += s.len;
+  if (!extend(chain.spans.back(), s)) chain.spans.push_back(std::move(s));
+}
+
+bool Payload::extend(Span& back, const Span& s) {
+  const bool contiguous = back.bytes != nullptr && back.bytes == s.bytes &&
+                          back.offset + back.len == s.offset &&
+                          back.registered == s.registered;
+  const bool both_virtual = back.bytes == nullptr && s.bytes == nullptr;
+  if (!contiguous && !both_virtual) return false;
+  back.len += s.len;
+  return true;
 }
 
 void PayloadQueue::push(Payload p) {
@@ -156,7 +176,7 @@ Payload PayloadQueue::pop(std::uint64_t n) {
   Payload out;
   std::uint64_t want = n;
   while (want > 0) {
-    Payload& front = parts_[head_];
+    Payload& front = parts_.front();
     const std::uint64_t avail = front.size() - front_offset_;
     const std::uint64_t take = std::min(want, avail);
     out = out.concat(front.slice(front_offset_, take));
@@ -164,13 +184,8 @@ Payload PayloadQueue::pop(std::uint64_t n) {
     want -= take;
     bytes_ -= take;
     if (front_offset_ == front.size()) {
-      front = Payload{};  // release storage refs promptly
-      ++head_;
+      parts_.pop_front();  // releases its storage refs promptly
       front_offset_ = 0;
-      if (head_ == parts_.size()) {
-        parts_.clear();
-        head_ = 0;
-      }
     }
   }
   return out;

@@ -21,12 +21,20 @@
 //  * All accessors use overflow-safe bounds checks
 //    (`len <= size && offset <= size - len`), never `offset + len <= size`,
 //    which wraps for adversarial inputs.
+//  * A chain of at most one span (every virtual payload, every slice
+//    within one buffer) lives inline, so slicing, concatenating and
+//    copying it allocate nothing; longer chains keep their spans in a
+//    heap vector.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <variant>
 #include <vector>
+
+#include "sim/ring_fifo.h"
 
 namespace sv::mem {
 
@@ -52,11 +60,14 @@ class Payload {
   /// through mem::charge_copy.
   static Payload copy_of(const std::byte* src, std::size_t n);
 
-  [[nodiscard]] std::uint64_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::uint64_t size() const {
+    if (const Span* one = std::get_if<Span>(&rep_)) return one->len;
+    return std::get<Chain>(rep_).size;
+  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
   /// Number of spans in the chain (1 for a freshly wrapped buffer; slicing
   /// and concatenation grow/shrink it without touching bytes).
-  [[nodiscard]] std::size_t span_count() const { return spans_.size(); }
+  [[nodiscard]] std::size_t span_count() const { return spans().size(); }
 
   /// True when every byte is backed by real storage (and the payload is
   /// non-empty). Timing-only payloads — empty or virtual — return false.
@@ -90,18 +101,34 @@ class Payload {
   [[nodiscard]] bool content_equals(const Payload& other) const;
 
  private:
+  // No default member initializers: the variant below needs Span default-
+  // constructible inside this class, and a value-initialized Span is the
+  // empty payload.
   struct Span {
-    Storage bytes;            // null => virtual span
-    std::uint64_t offset = 0; // start within *bytes (0 for virtual)
-    std::uint64_t len = 0;
-    bool registered = false;
+    Storage bytes;         // null => virtual span
+    std::uint64_t offset;  // start within *bytes (0 for virtual)
+    std::uint64_t len;
+    bool registered;
+  };
+  /// A chain of two or more spans, with their total length.
+  struct Chain {
+    std::vector<Span> spans;
+    std::uint64_t size = 0;
   };
 
+  /// The chain's spans in order; none for an empty payload.
+  [[nodiscard]] std::span<const Span> spans() const;
   void append_span(Span s);
+  /// Grows `back` by `s` when `s` continues it (the next bytes of the same
+  /// storage, or more virtual bytes); false when it does not.
+  static bool extend(Span& back, const Span& s);
 
-  std::vector<Span> spans_;
-  std::uint64_t size_ = 0;
+  /// One span inline (a zero-length one is the empty payload), or a Chain.
+  std::variant<Span, Chain> rep_;
 };
+
+static_assert(sizeof(Payload) <= 48,
+              "Payload is held by value in every message and segment");
 
 /// FIFO byte-stream assembly of Payload chains: the TCP stack pushes
 /// payloads into its send stream and pops MSS-sized slices for segments;
@@ -116,8 +143,9 @@ class PayloadQueue {
   [[nodiscard]] bool empty() const { return bytes_ == 0; }
 
  private:
-  std::vector<Payload> parts_;  // FIFO; front is parts_[head_]
-  std::size_t head_ = 0;
+  // A ring: a stream that never fully drains (a long TCP transfer) keeps
+  // only its live parts, not one slot per payload ever pushed.
+  sim::RingFifo<Payload> parts_;
   std::uint64_t front_offset_ = 0;  // consumed prefix of the front part
   std::uint64_t bytes_ = 0;
 };

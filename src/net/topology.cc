@@ -1,6 +1,7 @@
 #include "net/topology.h"
 
 #include <climits>
+#include <string>
 
 #include "common/check.h"
 #include "sim/resource.h"
@@ -13,6 +14,23 @@ namespace {
 std::size_t slot(int row, int width, int col) {
   return static_cast<std::size_t>(row) * static_cast<std::size_t>(width) +
          static_cast<std::size_t>(col);
+}
+
+// A switch's name, `tier` followed by its index ("c3"). Names are built by
+// appending: `"c" + std::to_string(n)` inlines a string insert that GCC 12
+// flags with a false -Wrestrict in Release builds.
+std::string switch_name(const char* tier, int n) {
+  std::string name = tier;
+  name += std::to_string(n);
+  return name;
+}
+
+// A pod switch's name: its pod, then its tier and index ("p1.e0").
+std::string pod_switch_name(int pod, const char* tier, int n) {
+  std::string name = switch_name("p", pod);
+  name += tier;
+  name += std::to_string(n);
+  return name;
 }
 
 }  // namespace
@@ -117,10 +135,8 @@ void Topology::build_fat_tree() {
       const int edge = p * half_k_ + e;
       for (int a = 0; a < half_k_; ++a) {
         const int agg = p * half_k_ + a;
-        const std::string en = "p" + std::to_string(p) + ".e" +
-                               std::to_string(e);
-        const std::string an = "p" + std::to_string(p) + ".a" +
-                               std::to_string(a);
+        const std::string en = pod_switch_name(p, ".e", e);
+        const std::string an = pod_switch_name(p, ".a", a);
         edge_up_[slot(edge, half_k_, a)] =
             static_cast<std::uint32_t>(links_.size());
         add_link(en + "->" + an, edge, agg_base + agg, kHostLink);
@@ -140,9 +156,8 @@ void Topology::build_fat_tree() {
       const int agg = p * half_k_ + a;
       for (int leg = 0; leg < half_k_; ++leg) {
         const int core = a * half_k_ + leg;
-        const std::string an = "p" + std::to_string(p) + ".a" +
-                               std::to_string(a);
-        const std::string cn = "c" + std::to_string(core);
+        const std::string an = pod_switch_name(p, ".a", a);
+        const std::string cn = switch_name("c", core);
         const std::size_t idx = slot(p * half_k_ + a, half_k_, leg);
         agg_up_[idx] = static_cast<std::uint32_t>(links_.size());
         add_link(an + "->" + cn, agg_base + agg, core_base + core, core_tier);
@@ -172,8 +187,8 @@ void Topology::build_edge_core() {
   edge_down_.assign(slot(edges, u, 0), 0);
   for (int e = 0; e < edges; ++e) {
     for (int i = 0; i < u; ++i) {
-      const std::string en = "e" + std::to_string(e);
-      const std::string cn = "c" + std::to_string(i);
+      const std::string en = switch_name("e", e);
+      const std::string cn = switch_name("c", i);
       edge_up_[slot(e, u, i)] =
           static_cast<std::uint32_t>(links_.size());
       add_link(en + "->" + cn, e, core_base + i, uplink);

@@ -1,5 +1,9 @@
 #include "sim/engine.h"
 
+#include <array>
+#include <bit>
+#include <cstddef>
+
 #include "common/check.h"
 
 namespace sv::sim {
@@ -21,12 +25,27 @@ class HandlerScope {
 
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
+/// kPrimePow[k] = kFnvPrime^k (mod 2^64).
+constexpr std::array<std::uint64_t, 9> kPrimePow = [] {
+  std::array<std::uint64_t, 9> pow{};
+  pow[0] = 1;
+  for (std::size_t k = 1; k < pow.size(); ++k) {
+    pow[k] = pow[k - 1] * kFnvPrime;
+  }
+  return pow;
+}();
+
+/// FNV-1a over the 8 little-endian bytes of `v`. A zero byte's step is a
+/// bare multiply by the prime, so the high zero bytes fold into one
+/// multiply by a power of it: the result is bit-identical to eight byte
+/// steps, with a dependent chain as long as `v`'s significant bytes.
 constexpr std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
+  const int n = (static_cast<int>(std::bit_width(v)) + 7) / 8;
+  for (int i = 0; i < n; ++i) {
     h = (h ^ (v & 0xffULL)) * kFnvPrime;
     v >>= 8;
   }
-  return h;
+  return h * kPrimePow[static_cast<std::size_t>(8 - n)];
 }
 
 }  // namespace
@@ -36,21 +55,21 @@ Engine::Engine(QueueKind queue_kind)
       cancelled_count_(&obs_.registry.counter("sim.events_cancelled")),
       queue_(make_event_queue(queue_kind, &obs_.registry)) {}
 
-std::uint64_t Engine::schedule_at(SimTime t, Handler&& fn) {
+EventId Engine::schedule_at(SimTime t, Handler&& fn) {
   SV_ASSERT(t >= now_, "Engine::schedule_at: time in the past (t=" +
                            t.to_string() + " now=" + now_.to_string() + ")");
   const std::uint64_t id = next_id_++;
-  queue_->push(t, next_seq_++, id, std::move(fn));
+  const std::uint32_t slot = queue_->push(t, next_seq_++, id, std::move(fn));
   ++live_events_;
-  return id;
+  return EventId{id, slot};
 }
 
-std::uint64_t Engine::schedule(SimTime delay, Handler&& fn) {
+EventId Engine::schedule(SimTime delay, Handler&& fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-bool Engine::cancel(std::uint64_t id) {
-  if (!queue_->cancel(id)) return false;
+bool Engine::cancel(EventId e) {
+  if (!queue_->cancel(e)) return false;
   SV_DCHECK(live_events_ > 0, "cancel with no live events");
   --live_events_;
   cancelled_count_->inc();

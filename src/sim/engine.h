@@ -35,15 +35,17 @@ class Engine {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `fn` to fire at absolute time `t` (must be >= now()).
-  /// Returns an id usable with `cancel`. The handler is moved by
+  /// Returns a handle usable with `cancel`. The handler is moved by
   /// reference all the way into its event slot.
-  std::uint64_t schedule_at(SimTime t, Handler&& fn);
+  EventId schedule_at(SimTime t, Handler&& fn);
   /// Schedules `fn` to fire `delay` after now().
-  std::uint64_t schedule(SimTime delay, Handler&& fn);
+  EventId schedule(SimTime delay, Handler&& fn);
 
-  /// Cancels a pending event; returns false if already fired/cancelled
-  /// (cancel-after-fire is detected exactly, not guessed).
-  bool cancel(std::uint64_t id);
+  /// Cancels a pending event by its handle: checks the slot the handle
+  /// names, with no id lookup. Returns false if the event already fired
+  /// or was cancelled, or the handle was never issued (each detected
+  /// exactly, not guessed).
+  bool cancel(EventId e);
 
   [[nodiscard]] bool empty() const { return live_events_ == 0; }
   [[nodiscard]] std::size_t pending() const { return live_events_; }
@@ -67,9 +69,10 @@ class Engine {
   [[nodiscard]] const obs::Hub& obs() const { return obs_; }
 
   /// FNV-1a hash over the (time, id) pairs of every fired event, in firing
-  /// order. Two runs of the same seeded experiment must produce identical
-  /// digests; see tests/integration/determinism_replay_test.cc and the
-  /// cross-queue pins in tests/integration/digest_pins.txt.
+  /// order, each value as 8 little-endian bytes. Two runs of the same
+  /// seeded experiment must produce identical digests; see
+  /// tests/integration/determinism_replay_test.cc and the cross-queue pins
+  /// in tests/integration/digest_pins.txt.
   [[nodiscard]] std::uint64_t trace_digest() const { return digest_; }
 
   // ---- White-box introspection (tests only) ----

@@ -65,70 +65,4 @@ EventSlot* EventArena::slot_at(std::uint32_t index) {
   return &slabs_[index / kSlabSlots][index % kSlabSlots];
 }
 
-IdSlotMap::IdSlotMap() {
-  constexpr std::size_t kInitial = 1024;  // power of two
-  keys_.assign(kInitial, 0);
-  vals_.assign(kInitial, 0);
-  mask_ = kInitial - 1;
-  shift_ = 64 - 10;
-}
-
-void IdSlotMap::insert(std::uint64_t id, std::uint32_t slot) {
-  SV_DCHECK(id != 0, "event id 0 is reserved for empty table cells");
-  if ((size_ + 1) * 10 >= keys_.size() * 7) grow();  // load factor 0.7
-  std::size_t i = slot_for(id);
-  while (keys_[i] != 0) {
-    SV_DCHECK(keys_[i] != id, "duplicate event id inserted");
-    i = (i + 1) & mask_;
-  }
-  keys_[i] = id;
-  vals_[i] = slot;
-  ++size_;
-}
-
-bool IdSlotMap::erase(std::uint64_t id, std::uint32_t* slot_out) {
-  if (id == 0) return false;
-  std::size_t i = slot_for(id);
-  while (true) {
-    if (keys_[i] == 0) return false;
-    if (keys_[i] == id) break;
-    i = (i + 1) & mask_;
-  }
-  *slot_out = vals_[i];
-  // Backward-shift deletion keeps probe chains contiguous without
-  // tombstone markers: pull each displaced follower into the hole unless
-  // its home position lies strictly after the hole.
-  std::size_t hole = i;
-  std::size_t j = i;
-  while (true) {
-    j = (j + 1) & mask_;
-    if (keys_[j] == 0) break;
-    const std::size_t home = slot_for(keys_[j]);
-    // Distance from home to j (cyclic); the entry may move back to the
-    // hole iff the hole is on its probe path.
-    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
-      keys_[hole] = keys_[j];
-      vals_[hole] = vals_[j];
-      hole = j;
-    }
-  }
-  keys_[hole] = 0;
-  --size_;
-  return true;
-}
-
-void IdSlotMap::grow() {
-  std::vector<std::uint64_t> old_keys = std::move(keys_);
-  std::vector<std::uint32_t> old_vals = std::move(vals_);
-  const std::size_t cap = old_keys.size() * 2;
-  keys_.assign(cap, 0);
-  vals_.assign(cap, 0);
-  mask_ = cap - 1;
-  --shift_;
-  size_ = 0;
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_keys[i] != 0) insert(old_keys[i], old_vals[i]);
-  }
-}
-
 }  // namespace sv::sim

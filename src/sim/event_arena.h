@@ -172,8 +172,8 @@ struct EventSlot {
   std::uint64_t id = 0;
   EventSlot* prev = nullptr;
   EventSlot* next = nullptr;
-  /// Stable arena index (slab * kSlabSlots + offset); the id→slot map
-  /// stores this instead of a pointer.
+  /// Stable arena index (slab * kSlabSlots + offset); an EventId carries
+  /// it, so cancel finds the slot without a lookup.
   std::uint32_t index = 0;
   /// Lazily-purged tombstone flag (set by cancel, cleared on recycle).
   bool cancelled = false;
@@ -202,6 +202,8 @@ class EventArena {
   void release(EventSlot* slot);
 
   [[nodiscard]] EventSlot* slot_at(std::uint32_t index);
+  /// Slots ever carved; every index below this is valid for slot_at().
+  [[nodiscard]] std::size_t slot_count() const { return next_unused_; }
 
   // ---- White-box introspection (tests / benchmarks) ----
   [[nodiscard]] std::size_t live_count() const { return live_; }
@@ -228,39 +230,6 @@ class EventArena {
   obs::Counter* alloc_c_ = nullptr;
   obs::Counter* reuse_c_ = nullptr;
   obs::Counter* heap_c_ = nullptr;
-};
-
-/// Open-addressing map from event id to arena slot index, sized so the
-/// schedule/cancel path stays allocation-free once the table has grown to
-/// the experiment's peak pending-event count. Keys are the engine's dense
-/// sequential ids (never 0); values are EventArena slot indices. Lookup
-/// order is never iterated, so determinism does not depend on the hash
-/// (and the multiplicative hash is platform-stable anyway).
-class IdSlotMap {
- public:
-  IdSlotMap();
-
-  void insert(std::uint64_t id, std::uint32_t slot);
-  /// Removes `id`, writing its slot index to *slot_out; false when absent
-  /// (the exact cancel-after-fire test).
-  bool erase(std::uint64_t id, std::uint32_t* slot_out);
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return keys_.size(); }
-
- private:
-  [[nodiscard]] std::size_t slot_for(std::uint64_t id) const {
-    // Fibonacci (multiplicative) hashing: deterministic across platforms.
-    return static_cast<std::size_t>((id * 11400714819323198485ULL) >>
-                                    shift_);
-  }
-  void grow();
-
-  std::vector<std::uint64_t> keys_;  // 0 = empty
-  std::vector<std::uint32_t> vals_;
-  std::size_t size_ = 0;
-  std::size_t mask_ = 0;
-  int shift_ = 0;
 };
 
 }  // namespace sv::sim

@@ -18,17 +18,18 @@ namespace {
 
 class ReferenceEventQueue final : public EventQueue {
  public:
-  void push(SimTime t, std::uint64_t seq, std::uint64_t id,
-            InlineHandler&& fn) override {
+  std::uint32_t push(SimTime t, std::uint64_t seq, std::uint64_t id,
+                     InlineHandler&& fn) override {
     queue_.push(Event{t, seq, id, std::move(fn)});
     pending_ids_.insert(id);
+    return 0;
   }
 
-  bool cancel(std::uint64_t id) override {
+  bool cancel(EventId e) override {
     // Exact membership test: ids that already fired (or were never issued)
     // are rejected without touching any bookkeeping.
-    if (pending_ids_.erase(id) == 0) return false;
-    cancelled_.insert(id);
+    if (pending_ids_.erase(e.id) == 0) return false;
+    cancelled_.insert(e.id);
     return true;
   }
 
@@ -150,24 +151,24 @@ class TimingWheelEventQueue final : public EventQueue {
     }
   }
 
-  void push(SimTime t, std::uint64_t seq, std::uint64_t id,
-            InlineHandler&& fn) override {
+  std::uint32_t push(SimTime t, std::uint64_t seq, std::uint64_t id,
+                     InlineHandler&& fn) override {
     EventSlot* s = arena_.acquire();
     s->time = t;
     s->seq = seq;
     s->id = id;
     s->fn = std::move(fn);
     if (s->fn.heap_allocated()) arena_.handler_heap_counter()->inc();
-    ids_.insert(id, s->index);
     place(s);
+    return s->index;
   }
 
-  bool cancel(std::uint64_t id) override {
-    std::uint32_t idx = 0;
-    // Exact: fired and cancelled events left the map, so their ids miss.
-    if (!ids_.erase(id, &idx)) return false;
-    EventSlot* s = arena_.slot_at(idx);
-    SV_DCHECK(s->live && s->id == id, "id map points at a stale slot");
+  bool cancel(EventId e) override {
+    // Exact: a fired or purged event's slot is dead or recycled under a
+    // newer id (ids are never reused), and a cancelled one is flagged.
+    if (e.slot >= arena_.slot_count()) return false;
+    EventSlot* s = arena_.slot_at(e.slot);
+    if (!s->live || s->id != e.id || s->cancelled) return false;
     s->cancelled = true;
     ++tombstones_;
     return true;
@@ -187,9 +188,6 @@ class TimingWheelEventQueue final : public EventQueue {
           arena_.release(s);
           continue;
         }
-        std::uint32_t idx = 0;
-        [[maybe_unused]] const bool mapped = ids_.erase(s->id, &idx);
-        SV_DCHECK(mapped, "live event missing from the id map");
         out->time = s->time;
         out->id = s->id;
         out->fn = std::move(s->fn);
@@ -384,7 +382,6 @@ class TimingWheelEventQueue final : public EventQueue {
   }
 
   EventArena arena_;
-  IdSlotMap ids_;
   EventSlot* buckets_[kLevels][kBuckets] = {};
   Bitmap256 occupied_[kLevels];
   /// The wheel's position: every event with tick < cur_tick_ has been

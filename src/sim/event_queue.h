@@ -2,8 +2,8 @@
 //
 // Engine owns the clock, ids, the live-event count and the trace digest;
 // an EventQueue owns only *ordering*: deliver pending events in ascending
-// (time, seq), with exact cancellation. Two implementations share the
-// contract:
+// (time, seq), with exact cancellation by EventId. Two implementations
+// share the contract:
 //
 //  - ReferenceEventQueue: the original std::priority_queue over
 //    std::vector with unordered_set tombstones. O(log n) per operation and
@@ -13,9 +13,10 @@
 //
 //  - TimingWheelEventQueue: a 3-level hierarchical timing wheel (1024 ns
 //    ticks, 256 buckets per level, ~17 simulated seconds of horizon) with
-//    a sorted far-list for events beyond the top level, arena-allocated
-//    slots and an open-addressing id map. O(1) schedule/cancel, amortized
-//    O(1) fire, and zero heap allocations in steady state.
+//    a sorted far-list for events beyond the top level and arena-allocated
+//    slots. An EventId names its slot, so cancel checks that slot directly.
+//    O(1) schedule/cancel, amortized O(1) fire, and zero heap allocations
+//    in steady state.
 //
 // Both implement *lazy* tombstoning: cancel marks the event and pop purges
 // it when it reaches the front, so tombstone_count() — and therefore every
@@ -38,6 +39,16 @@ enum class QueueKind {
   kReferenceHeap,  // the audited oracle (tests, differential benches)
 };
 
+/// Handle to a scheduled event: its id, unique for the engine's lifetime,
+/// and the arena slot that holds it (0 on the reference heap, which
+/// cancels by id alone). Ids are never reused, so a slot that has fired,
+/// been purged or been recycled no longer holds `id`, and cancel stays
+/// exact without an id map.
+struct EventId {
+  std::uint64_t id = 0;
+  std::uint32_t slot = 0;
+};
+
 /// A popped event, ready to fire. The handler is moved out of the queue's
 /// storage before invocation, so a handler that reschedules (and thereby
 /// recycles its own slot) cannot alias itself.
@@ -51,17 +62,18 @@ class EventQueue {
  public:
   virtual ~EventQueue() = default;
 
-  /// Inserts an event. `seq` is the engine's global insertion counter:
-  /// delivery is in ascending (time, seq), which makes same-timestamp
-  /// events FIFO — the property the determinism contract leans on
-  /// (DESIGN.md §8, §12).
-  virtual void push(SimTime t, std::uint64_t seq, std::uint64_t id,
-                    InlineHandler&& fn) = 0;
+  /// Inserts an event and returns the slot that holds it (EventId::slot).
+  /// `seq` is the engine's global insertion counter: delivery is in
+  /// ascending (time, seq), which makes same-timestamp events FIFO — the
+  /// property the determinism contract leans on (DESIGN.md §8, §12).
+  virtual std::uint32_t push(SimTime t, std::uint64_t seq, std::uint64_t id,
+                             InlineHandler&& fn) = 0;
 
-  /// Exact cancel: true iff `id` is pending and not already cancelled.
-  /// Cancelled events stay physically queued (lazily purged on pop), so
-  /// cancel is O(1) and tombstone accounting matches the reference.
-  virtual bool cancel(std::uint64_t id) = 0;
+  /// Exact cancel: true iff the event `e` names is pending and not already
+  /// cancelled. Cancelled events stay physically queued (lazily purged on
+  /// pop), so cancel is O(1) and tombstone accounting matches the
+  /// reference.
+  virtual bool cancel(EventId e) = 0;
 
   /// Extracts the earliest live event with time <= limit, purging any
   /// cancelled events encountered on the way. Cancelled events beyond

@@ -72,13 +72,13 @@ class Simulation {
   /// Schedules a plain (non-blocking) handler. The callable goes straight
   /// into the event's inline buffer, so an oversized capture shows up in
   /// `sim.arena_handler_heap` (DESIGN.md §12).
-  std::uint64_t schedule(SimTime delay, Engine::Handler&& fn) {
+  EventId schedule(SimTime delay, Engine::Handler&& fn) {
     return engine_.schedule(delay, std::move(fn));
   }
-  std::uint64_t schedule_at(SimTime t, Engine::Handler&& fn) {
+  EventId schedule_at(SimTime t, Engine::Handler&& fn) {
     return engine_.schedule_at(t, std::move(fn));
   }
-  bool cancel(std::uint64_t event_id) { return engine_.cancel(event_id); }
+  bool cancel(EventId e) { return engine_.cancel(e); }
 
   [[nodiscard]] SimTime now() const { return engine_.now(); }
   /// The deadline of a blocking operation given `timeout` from now: a

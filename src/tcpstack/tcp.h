@@ -45,6 +45,7 @@
 #include "net/cluster.h"
 #include "net/cost_model.h"
 #include "obs/metrics.h"
+#include "sim/ring_fifo.h"
 #include "sim/sync.h"
 
 namespace sv::tcpstack {
@@ -166,6 +167,7 @@ class TcpConnection {
   // of its payload slice, so retransmits and reassembly re-use the
   // original storage (never copy).
   struct HeldSegment {
+    std::uint64_t seq = 0;
     std::uint64_t bytes = 0;
     bool fin = false;
     mem::Payload payload{};
@@ -214,9 +216,11 @@ class TcpConnection {
   // --- send side (sequence space: payload bytes; FIN occupies one) ---
   std::uint64_t snd_una_ = 0;  // oldest unacknowledged sequence
   std::uint64_t snd_nxt_ = 0;  // next sequence to assign
-  /// Sent-but-unacked segments by starting sequence; boundaries are fixed
-  /// at first transmission, so retransmits never partially overlap.
-  std::map<std::uint64_t, HeldSegment> unacked_;
+  /// Sent-but-unacked segments in sequence order: send_segment appends
+  /// at increasing seq and cumulative ACKs retire from the front.
+  /// Boundaries are fixed at first transmission, so retransmits never
+  /// partially overlap.
+  sim::RingFifo<HeldSegment> unacked_;
   std::uint64_t unsent_bytes_ = 0;    // buffered, not yet segmented
   /// Payload views of the buffered-but-unsegmented stream, in order;
   /// always holds exactly unsent_bytes_ bytes.
@@ -234,7 +238,7 @@ class TcpConnection {
   std::uint64_t recover_seq_ = 0;
   SimTime rto_current_;
   bool rto_armed_ = false;
-  std::uint64_t rto_event_ = 0;
+  sim::EventId rto_event_{};
   sim::WaitQueue send_space_;  // senders blocked on a full socket buffer
   sim::WaitQueue tx_wake_;     // tx stage wakeups (data/ack/window/retx)
 

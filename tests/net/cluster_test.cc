@@ -32,7 +32,7 @@ TEST(ClusterTest, ComputeUsesBothCores) {
   Cluster c(&s, 1);
   std::vector<SimTime> done;
   for (int i = 0; i < 4; ++i) {
-    s.spawn("w" + std::to_string(i), [&] {
+    s.spawn(std::string("w").append(std::to_string(i)), [&] {
       c.node(0).compute(10_ms);
       done.push_back(s.now());
     });

@@ -102,7 +102,7 @@ TEST(EngineCancelBookkeeping, CancelAfterFireIsDetectedExactly) {
 
 TEST(EngineCancelBookkeeping, MassCancelLeavesNoResidue) {
   Engine e;
-  std::vector<std::uint64_t> ids;
+  std::vector<EventId> ids;
   for (int i = 0; i < 1000; ++i) {
     ids.push_back(e.schedule(SimTime::nanoseconds(i + 1), [] {}));
   }
@@ -118,16 +118,69 @@ TEST(EngineCancelBookkeeping, MassCancelLeavesNoResidue) {
 TEST(EngineCancelBookkeeping, CancelInsideHandlerOfSameTimeEvent) {
   Engine e;
   int fired = 0;
-  std::uint64_t victim = 0;
+  EventId victim{};
   e.schedule_at(5_us, [&] { victim = e.schedule_at(5_us, [&] { ++fired; }); });
   e.schedule_at(5_us, [&] {
-    if (victim != 0) {
+    if (victim.id != 0) {
       EXPECT_TRUE(e.cancel(victim));
     }
   });
   e.run();
   EXPECT_EQ(fired, 0) << "event cancelled before its turn in the same stamp";
   EXPECT_EQ(e.tombstone_count(), 0u);
+}
+
+TEST(EngineCancelBookkeeping, StaleHandleOfRecycledSlotIsFalse) {
+  for (const QueueKind kind :
+       {QueueKind::kTimingWheel, QueueKind::kReferenceHeap}) {
+    Engine e(kind);
+    const EventId fired_early = e.schedule_at(1_us, [] {});
+    e.run();
+    int fired = 0;
+    const EventId later = e.schedule_at(2_us, [&] { ++fired; });
+    // The LIFO free list hands the fired event's slot to the next one, so
+    // the stale handle names a live slot that now holds a newer id.
+    EXPECT_EQ(later.slot, fired_early.slot) << e.queue_name();
+    EXPECT_FALSE(e.cancel(fired_early)) << e.queue_name();
+    EXPECT_EQ(e.pending(), 1u) << e.queue_name();
+    EXPECT_EQ(e.tombstone_count(), 0u) << e.queue_name();
+    e.run();
+    EXPECT_EQ(fired, 1) << "the later event still fires (" << e.queue_name()
+                        << ")";
+  }
+}
+
+TEST(EngineCancelBookkeeping, OutOfRangeSlotIsFalse) {
+  // The timing wheel checks the slot a handle names (the reference heap
+  // cancels by id alone), so a slot past the arena is rejected.
+  Engine e(QueueKind::kTimingWheel);
+  int fired = 0;
+  const EventId id = e.schedule_at(1_us, [&] { ++fired; });
+  EXPECT_FALSE(e.cancel(EventId{id.id, id.slot + 1'000'000}));
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.tombstone_count(), 0u);
+  e.run();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EngineCancelBookkeeping, CancelFromOwnHandlerIsFalse) {
+  for (const QueueKind kind :
+       {QueueKind::kTimingWheel, QueueKind::kReferenceHeap}) {
+    Engine e(kind);
+    int fired = 0;
+    EventId self{};
+    self = e.schedule_at(5_us, [&] {
+      ++fired;
+      EXPECT_FALSE(e.cancel(self)) << "an event is no longer pending once "
+                                      "its handler runs ("
+                                   << e.queue_name() << ")";
+    });
+    e.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(e.pending(), 0u);
+    EXPECT_EQ(e.tombstone_count(), 0u);
+    EXPECT_EQ(e.obs().registry.counter("sim.events_cancelled").value(), 0u);
+  }
 }
 
 TEST(EngineReentrancy, SteppingFromInsideAHandlerAsserts) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace sv::sim {
@@ -68,8 +69,8 @@ TEST(EngineTest, CancelPreventsFiring) {
 
 TEST(EngineTest, CancelInvalidIdIsFalse) {
   Engine e;
-  EXPECT_FALSE(e.cancel(0));
-  EXPECT_FALSE(e.cancel(999));
+  EXPECT_FALSE(e.cancel(EventId{0, 0}));
+  EXPECT_FALSE(e.cancel(EventId{999, 0}));
 }
 
 TEST(EngineTest, RunUntilAdvancesClockExactly) {
@@ -129,9 +130,9 @@ TEST(EngineTest, CancelHeavyChurnLeavesNoResidue) {
     int completions = 0;
     int rto_fires = 0;
     std::uint64_t cancels_accepted = 0;
-    std::uint64_t pending_timer = 0;
+    EventId pending_timer{};
     for (int i = 0; i < kRounds; ++i) {
-      if (pending_timer != 0) {
+      if (pending_timer.id != 0) {
         // Completion cancels the previous round's timer (always still
         // pending: it sits 200 ms out and the clock advances in µs steps).
         if (e.cancel(pending_timer)) ++cancels_accepted;
@@ -145,8 +146,9 @@ TEST(EngineTest, CancelHeavyChurnLeavesNoResidue) {
     }
     EXPECT_EQ(cancels_accepted, static_cast<std::uint64_t>(kRounds - 1));
     EXPECT_EQ(cancelled.value(), cancels_accepted);
-    // Cancelling an already-fired event must be rejected exactly.
-    EXPECT_FALSE(e.cancel(pending_timer - 1));
+    // Cancelling an already-fired event must be rejected exactly, even
+    // through a handle whose slot is live under a newer id.
+    EXPECT_FALSE(e.cancel(EventId{pending_timer.id - 1, pending_timer.slot}));
     e.run();  // the last timer survives to fire
     EXPECT_EQ(completions, kRounds);
     EXPECT_EQ(rto_fires, 1);
@@ -158,6 +160,35 @@ TEST(EngineTest, CancelHeavyChurnLeavesNoResidue) {
     EXPECT_EQ(e.events_fired(),
               static_cast<std::uint64_t>(completions + rto_fires));
   }
+}
+
+TEST(EngineTest, DigestIsByteWiseFnv1aOfTimeAndId) {
+  // Event times that need 0 to 8 significant bytes, then 300 more events
+  // so the ids need two bytes too: the digest must equal FNV-1a over all
+  // 8 little-endian bytes of each fired (time, id), zero bytes included.
+  std::vector<std::int64_t> times = {0, 1, 255, 256};
+  for (int shift = 16; shift <= 56; shift += 8) {
+    times.push_back(std::int64_t{1} << shift);
+  }
+  for (std::int64_t i = 0; i < 300; ++i) times.push_back(1000 + i);
+  Engine e;
+  std::vector<std::uint64_t> ids(times.size());
+  std::vector<std::uint64_t> fired;  // time, id, time, id, ...
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    ids[i] = e.schedule_at(SimTime::nanoseconds(times[i]), [&, i] {
+                fired.push_back(static_cast<std::uint64_t>(e.now().ns()));
+                fired.push_back(ids[i]);
+              }).id;
+  }
+  e.run();
+  ASSERT_EQ(fired.size(), 2 * times.size());
+  std::uint64_t h = 14695981039346656037ULL;  // FNV-1a offset basis
+  for (const std::uint64_t v : fired) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((v >> (8 * byte)) & 0xffULL)) * 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(e.trace_digest(), h);
 }
 
 }  // namespace

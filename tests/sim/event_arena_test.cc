@@ -75,30 +75,6 @@ TEST(EventArenaTest, SlotAtMapsIndicesBackToSlots) {
   for (EventSlot* s : held) arena.release(s);
 }
 
-TEST(IdSlotMapTest, InsertEraseRoundTripsThroughGrowth) {
-  IdSlotMap map;
-  // Push well past the initial capacity to force several growths, then
-  // erase in an unrelated order to exercise backward-shift deletion.
-  constexpr std::uint64_t kN = 20'000;
-  for (std::uint64_t id = 1; id <= kN; ++id) {
-    map.insert(id, static_cast<std::uint32_t>(id * 3));
-  }
-  EXPECT_EQ(map.size(), kN);
-  std::uint32_t out = 0;
-  for (std::uint64_t id = kN; id >= 1; --id) {
-    if (id % 3 == 0) continue;  // leave residue to stress later probes
-    ASSERT_TRUE(map.erase(id, &out)) << id;
-    EXPECT_EQ(out, static_cast<std::uint32_t>(id * 3));
-    EXPECT_FALSE(map.erase(id, &out)) << "double erase must miss";
-  }
-  for (std::uint64_t id = 3; id <= kN; id += 3) {
-    ASSERT_TRUE(map.erase(id, &out)) << id;
-    EXPECT_EQ(out, static_cast<std::uint32_t>(id * 3));
-  }
-  EXPECT_EQ(map.size(), 0u);
-  EXPECT_FALSE(map.erase(12345, &out));
-}
-
 TEST(InlineHandlerTest, SmallCallablesStayInline) {
   int hits = 0;
   InlineHandler h([&hits] { ++hits; });

@@ -67,7 +67,7 @@ TEST(ProcessTest, SameTimeResumptionFollowsScheduleOrder) {
   Simulation s;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    s.spawn("p" + std::to_string(i), [&s, &order, i] {
+    s.spawn(std::string("p").append(std::to_string(i)), [&s, &order, i] {
       s.delay(10_us);
       order.push_back(i);
     });
@@ -206,7 +206,7 @@ TEST(ProcessTest, ManyProcessesScale) {
   Simulation s;
   int done = 0;
   for (int i = 0; i < 200; ++i) {
-    s.spawn("p" + std::to_string(i), [&s, &done, i] {
+    s.spawn(std::string("p").append(std::to_string(i)), [&s, &done, i] {
       s.delay(SimTime::microseconds(i % 17));
       ++done;
     });

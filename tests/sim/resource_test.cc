@@ -14,7 +14,7 @@ TEST(ResourceTest, SingleServerSerializes) {
   Resource r(&s, 1);
   std::vector<SimTime> start_times;
   for (int i = 0; i < 3; ++i) {
-    s.spawn("p" + std::to_string(i), [&] {
+    s.spawn(std::string("p").append(std::to_string(i)), [&] {
       r.acquire();
       start_times.push_back(s.now());
       s.delay(10_us);
@@ -33,7 +33,7 @@ TEST(ResourceTest, MultiServerParallelism) {
   Resource r(&s, 2);  // e.g. the dual-CPU nodes in the paper's cluster
   std::vector<SimTime> done_times;
   for (int i = 0; i < 4; ++i) {
-    s.spawn("p" + std::to_string(i), [&] {
+    s.spawn(std::string("p").append(std::to_string(i)), [&] {
       r.use(10_us);
       done_times.push_back(s.now());
     });
@@ -56,7 +56,7 @@ TEST(ResourceTest, FifoHandoffOrder) {
     r.release();
   });
   for (int i = 0; i < 5; ++i) {
-    s.spawn("w" + std::to_string(i), [&, i] {
+    s.spawn(std::string("w").append(std::to_string(i)), [&, i] {
       s.delay(SimTime::microseconds(i + 1));  // arrive in order 0..4
       r.acquire();
       order.push_back(i);

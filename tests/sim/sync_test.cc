@@ -16,7 +16,7 @@ TEST(WaitQueueTest, NotifyOneWakesFifo) {
   WaitQueue q(&s);
   std::vector<int> order;
   for (int i = 0; i < 3; ++i) {
-    s.spawn("w" + std::to_string(i), [&, i] {
+    s.spawn(std::string("w").append(std::to_string(i)), [&, i] {
       q.wait();
       order.push_back(i);
     });
@@ -38,7 +38,7 @@ TEST(WaitQueueTest, NotifyAllWakesEveryone) {
   WaitQueue q(&s);
   int woken = 0;
   for (int i = 0; i < 5; ++i) {
-    s.spawn("w" + std::to_string(i), [&] {
+    s.spawn(std::string("w").append(std::to_string(i)), [&] {
       q.wait();
       ++woken;
     });
