@@ -22,34 +22,33 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed,
       frames_dropped_(&registry_->counter("fault.frames_dropped")),
       frames_delayed_(&registry_->counter("fault.frames_delayed")) {}
 
-FaultInjector::LinkState* FaultInjector::link_state(int src, int dst) {
+FaultInjector::LinkState& FaultInjector::link_state(int src, int dst) {
   const std::pair<int, int> key{src, dst};
-  auto [it, first_frame] = link_states_.try_emplace(key);
-  if (first_frame) {
-    const LinkFault& spec = plan_.link(src, dst);
-    if (!spec.enabled()) return nullptr;
+  auto it = link_states_.find(key);
+  if (it == link_states_.end()) {
     // Derive the stream purely from (seed, src, dst) so the first-touch
     // order of links cannot change any link's decision sequence.
     std::uint64_t mix =
         seed_ ^ ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
                   << 32) |
                  static_cast<std::uint32_t>(dst));
-    LinkState& st = it->second.emplace(spec, splitmix64_next(mix));
+    const std::uint64_t link_seed = splitmix64_next(mix);
+    it = link_states_.emplace(key, LinkState(link_seed)).first;
     const std::string link = "{link=" + std::to_string(src) + "->" +
                              std::to_string(dst) + "}";
-    st.seen = &registry_->counter("fault.frames_seen" + link);
-    st.dropped = &registry_->counter("fault.frames_dropped" + link);
-    st.delayed = &registry_->counter("fault.frames_delayed" + link);
+    it->second.seen = &registry_->counter("fault.frames_seen" + link);
+    it->second.dropped = &registry_->counter("fault.frames_dropped" + link);
+    it->second.delayed = &registry_->counter("fault.frames_delayed" + link);
   }
-  return it->second ? &*it->second : nullptr;
+  return it->second;
 }
 
 FaultDecision FaultInjector::on_frame(int src, int dst) {
+  const LinkFault& spec = plan_.link(src, dst);
   FaultDecision d;
-  LinkState* const link = link_state(src, dst);
-  if (link == nullptr) return d;
-  LinkState& st = *link;
-  const LinkFault& spec = st.spec;
+  if (!spec.enabled()) return d;
+
+  LinkState& st = link_state(src, dst);
   const std::uint64_t frame = st.next_frame++;
   frames_seen_->inc();
   st.seen->inc();

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -112,9 +111,6 @@ class FaultInjector {
   /// keeping the accessors below working standalone.
   FaultInjector(FaultPlan plan, std::uint64_t seed,
                 obs::Registry* registry = nullptr);
-  // Link states refer into plan_, so the injector stays where it was made.
-  FaultInjector(const FaultInjector&) = delete;
-  FaultInjector& operator=(const FaultInjector&) = delete;
 
   /// Decides the fate of the next frame crossing link (src, dst).
   FaultDecision on_frame(int src, int dst);
@@ -141,7 +137,6 @@ class FaultInjector {
 
  private:
   struct LinkState {
-    const LinkFault& spec;  // the plan's spec for this link
     Rng rng;
     std::uint64_t next_frame = 0;
     bool in_burst = false;
@@ -150,15 +145,10 @@ class FaultInjector {
     obs::Counter* dropped = nullptr;
     obs::Counter* delayed = nullptr;
 
-    LinkState(const LinkFault& link_spec, std::uint64_t link_seed)
-        : spec(link_spec), rng(link_seed) {}
+    explicit LinkState(std::uint64_t link_seed) : rng(link_seed) {}
   };
 
-  /// One map lookup per frame. The link's first frame also resolves its
-  /// spec: an enabled link gets its stream and counters then, a disabled
-  /// one is remembered as nullopt and gets neither. Null for a disabled
-  /// link.
-  LinkState* link_state(int src, int dst);
+  LinkState& link_state(int src, int dst);
 
   FaultPlan plan_;
   std::uint64_t seed_;
@@ -166,7 +156,7 @@ class FaultInjector {
   obs::Registry* registry_;
   // Ordered map keyed by node-id pairs: iteration order (never used for
   // decisions anyway) is value-determined, per the determinism contract.
-  std::map<std::pair<int, int>, std::optional<LinkState>> link_states_;
+  std::map<std::pair<int, int>, LinkState> link_states_;
   obs::Counter* frames_seen_;
   obs::Counter* frames_dropped_;
   obs::Counter* frames_delayed_;

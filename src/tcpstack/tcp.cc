@@ -245,7 +245,7 @@ Segment TcpConnection::send_segment(std::uint64_t bytes, bool fin) {
               "unsent stream out of sync with unsent_bytes_");
     seg_payload = unsent_stream_.pop(bytes);
   }
-  unacked_.push_back(HeldSegment{seq, bytes, fin, seg_payload});
+  unacked_.push_back(UnackedSegment{seq, HeldSegment{bytes, fin, seg_payload}});
   c_segments_sent_->inc();
   if (fin) {
     fin_sent_ = true;
@@ -265,15 +265,15 @@ Segment TcpConnection::send_segment(std::uint64_t bytes, bool fin) {
 }
 
 Segment TcpConnection::retransmit_front() {
-  const HeldSegment& front = unacked_.front();
+  const UnackedSegment& front = unacked_.front();
   SV_DCHECK(front.seq == snd_una_,
             "earliest unacked segment must start at snd_una");
+  const HeldSegment& held = front.held;
   c_retx_->inc();
   if (c_retx_link_ != nullptr) c_retx_link_->inc();
-  tracer().instant(stack_->sim().now(), node_id(), "tcp", "retx",
-                   front.bytes);
-  return Segment{this, front.seq, front.bytes, rcv_nxt_, false, front.fin,
-                 front.payload};
+  tracer().instant(stack_->sim().now(), node_id(), "tcp", "retx", held.bytes);
+  return Segment{this, front.seq, held.bytes, rcv_nxt_, false, held.fin,
+                 held.payload};
 }
 
 void TcpConnection::arm_rto() {
@@ -317,8 +317,7 @@ void TcpConnection::on_segment(std::uint64_t seq, std::uint64_t bytes,
     // A gap: hold for reassembly and emit an immediate duplicate ACK (the
     // signal fast retransmit counts). Fixed segment boundaries make the
     // map key collision-free; re-inserts of the same segment are no-ops.
-    ooo_segments_.emplace(seq,
-                          HeldSegment{seq, bytes, fin, std::move(payload)});
+    ooo_segments_.emplace(seq, HeldSegment{bytes, fin, std::move(payload)});
     c_ooo_->inc();
     send_ack_now();
     return;
@@ -385,9 +384,10 @@ void TcpConnection::on_ack(std::uint64_t ackno, bool pure) {
     // count and the RTO backoff, and restart the timer for what remains.
     snd_una_ = ackno;
     while (!unacked_.empty()) {
-      const HeldSegment& front = unacked_.front();
-      if (front.seq + front.bytes + (front.fin ? 1 : 0) > ackno) break;
-      inflight_bytes_ -= front.bytes;
+      const UnackedSegment& front = unacked_.front();
+      const HeldSegment& held = front.held;
+      if (front.seq + held.bytes + (held.fin ? 1 : 0) > ackno) break;
+      inflight_bytes_ -= held.bytes;
       unacked_.pop_front();
     }
     dup_acks_ = 0;

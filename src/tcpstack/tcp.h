@@ -167,10 +167,14 @@ class TcpConnection {
   // of its payload slice, so retransmits and reassembly re-use the
   // original storage (never copy).
   struct HeldSegment {
-    std::uint64_t seq = 0;
     std::uint64_t bytes = 0;
     bool fin = false;
     mem::Payload payload{};
+  };
+  // The retransmit ring has no key, so each entry carries its sequence.
+  struct UnackedSegment {
+    std::uint64_t seq = 0;
+    HeldSegment held{};
   };
 
   /// Common body of recv_exact and recv_exact_until. When `out` is
@@ -220,7 +224,7 @@ class TcpConnection {
   /// at increasing seq and cumulative ACKs retire from the front.
   /// Boundaries are fixed at first transmission, so retransmits never
   /// partially overlap.
-  sim::RingFifo<HeldSegment> unacked_;
+  sim::RingFifo<UnackedSegment> unacked_;
   std::uint64_t unsent_bytes_ = 0;    // buffered, not yet segmented
   /// Payload views of the buffered-but-unsegmented stream, in order;
   /// always holds exactly unsent_bytes_ bytes.

@@ -29,7 +29,9 @@ TEST(FigureTest, ReferencesStableAcrossAddSeries) {
   Figure f("t", "x", "y");
   auto& a = f.add_series("a");
   // Force many additions; `a` must remain valid (deque guarantee).
-  for (int i = 0; i < 50; ++i) f.add_series(std::string("s").append(std::to_string(i)));
+  for (int i = 0; i < 50; ++i) {
+    f.add_series(std::string("s").append(std::to_string(i)));
+  }
   a.add(1.0, 2.0);
   EXPECT_DOUBLE_EQ(f.series().front().y_at(1.0), 2.0);
 }
