@@ -15,10 +15,8 @@
 int main(int argc, char** argv) {
   using namespace sv;
   std::int64_t updates = 5;
-  bool csv = false;
   CliParser cli("Ablation: block size vs latency and update rate");
   cli.add_int("updates", &updates, "updates per saturation measurement");
-  cli.add_flag("csv", &csv, "emit CSV");
   harness::ObsArtifacts artifacts;
   harness::add_obs_flags(cli, &artifacts);
   if (!cli.parse(argc, argv)) return 1;
@@ -50,18 +48,12 @@ int main(int argc, char** argv) {
       c.add(x, viz::receiver_capacity_bps(model, kib * 1024) / 1e6);
     }
   }
-  if (csv) {
-    lat.print_csv(std::cout);
-    rate.print_csv(std::cout);
-    cap.print_csv(std::cout);
-  } else {
-    lat.print(std::cout);
-    rate.print(std::cout);
-    cap.print(std::cout);
-    std::cout << "reading: latency grows ~linearly with block size (worse "
-                 "for TCP); the update rate saturates once per-message "
-                 "overheads amortize — at a much smaller block for "
-                 "SocketVIA (the paper's U2 < U1).\n";
-  }
+  lat.print(std::cout);
+  rate.print(std::cout);
+  cap.print(std::cout);
+  std::cout << "reading: latency grows ~linearly with block size (worse "
+               "for TCP); the update rate saturates once per-message "
+               "overheads amortize — at a much smaller block for "
+               "SocketVIA (the paper's U2 < U1).\n";
   return 0;
 }

@@ -119,10 +119,8 @@ void print_policy_crosscheck(std::ostream& os, std::uint64_t bytes,
 int main(int argc, char** argv) {
   using namespace sv;
   std::int64_t iters = 50;
-  bool csv = false;
   CliParser cli("Ablation: copy-cost scale vs transport performance");
   cli.add_int("iters", &iters, "iterations per measurement");
-  cli.add_flag("csv", &csv, "emit CSV");
   if (!cli.parse(argc, argv)) return 1;
   const int it = static_cast<int>(iters);
 
@@ -165,25 +163,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (csv) {
-    lat.print_csv(std::cout);
-    bw.print_csv(std::cout);
-    size_fig.print_csv(std::cout);
-  } else {
-    lat.print(std::cout);
-    bw.print(std::cout);
-    size_fig.print(std::cout);
-    std::uint64_t tcp_copy_bytes = 0;
-    bandwidth(net::Transport::kKernelTcp, 0, 65536, it, &tcp_copy_bytes);
-    std::uint64_t via_copy_bytes = 0;
-    bandwidth(net::Transport::kVia, 0, 65536, it, &via_copy_bytes);
-    std::cout << "ledger cross-check (64 KiB x " << it
-              << " stream): TCP mem.copy_bytes=" << tcp_copy_bytes
-              << ", VIA mem.copy_bytes=" << via_copy_bytes
-              << "\nreading: VIA/SocketVIA are flat (no copies to scale); "
-                 "TCP degrades linearly with the copy term, and more "
-                 "steeply at larger messages.\n";
-    print_policy_crosscheck(std::cout, 65536, it);
-  }
+  lat.print(std::cout);
+  bw.print(std::cout);
+  size_fig.print(std::cout);
+  std::uint64_t tcp_copy_bytes = 0;
+  bandwidth(net::Transport::kKernelTcp, 0, 65536, it, &tcp_copy_bytes);
+  std::uint64_t via_copy_bytes = 0;
+  bandwidth(net::Transport::kVia, 0, 65536, it, &via_copy_bytes);
+  std::cout << "ledger cross-check (64 KiB x " << it
+            << " stream): TCP mem.copy_bytes=" << tcp_copy_bytes
+            << ", VIA mem.copy_bytes=" << via_copy_bytes
+            << "\nreading: VIA/SocketVIA are flat (no copies to scale); "
+               "TCP degrades linearly with the copy term, and more "
+               "steeply at larger messages.\n";
+  print_policy_crosscheck(std::cout, 65536, it);
   return 0;
 }

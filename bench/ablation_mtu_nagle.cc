@@ -73,9 +73,7 @@ Measures measure(const tcpstack::TcpOptions& opt,
 
 int main(int argc, char** argv) {
   using namespace sv;
-  bool csv = false;
   CliParser cli("Ablation: TCP MSS / Nagle / delayed-ACK");
-  cli.add_flag("csv", &csv, "emit CSV");
   harness::ObsArtifacts artifacts;
   harness::add_obs_flags(cli, &artifacts);
   if (!cli.parse(argc, argv)) return 1;
@@ -115,15 +113,11 @@ int main(int argc, char** argv) {
   bigbuf.recv_buffer = 256 * 1024;
   row("256 KiB socket buffers", bigbuf);
 
-  if (csv) {
-    t.print_csv(std::cout);
-  } else {
-    t.print(std::cout);
-    std::cout << "\nreading: Nagle+delayed-ACK dominate small-message "
-                 "behaviour; bandwidth is bound by per-segment receive "
-                 "processing, so jumbo MSS (9 KB) recovers much of the gap "
-                 "to SocketVIA — which is why the paper's per-byte gap "
-                 "persists only on standard Ethernet framing.\n";
-  }
+  t.print(std::cout);
+  std::cout << "\nreading: Nagle+delayed-ACK dominate small-message "
+               "behaviour; bandwidth is bound by per-segment receive "
+               "processing, so jumbo MSS (9 KB) recovers much of the gap "
+               "to SocketVIA — which is why the paper's per-byte gap "
+               "persists only on standard Ethernet framing.\n";
   return 0;
 }

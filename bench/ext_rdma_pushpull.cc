@@ -191,10 +191,8 @@ double socket_latency_us(bool use_rdma, std::uint64_t bytes, int iters,
 int main(int argc, char** argv) {
   using namespace sv;
   std::int64_t iters = 100;
-  bool csv = false;
   CliParser cli("Extension: RDMA push/pull vs two-sided SocketVIA");
   cli.add_int("iters", &iters, "blocks per measurement");
-  cli.add_flag("csv", &csv, "emit CSV");
   harness::ObsArtifacts artifacts;
   harness::add_obs_flags(cli, &artifacts);
   if (!cli.parse(argc, argv)) return 1;
@@ -229,18 +227,12 @@ int main(int argc, char** argv) {
     lt.add(static_cast<double>(n), socket_latency_us(false, n, it, artifacts));
   }
 
-  if (csv) {
-    bw.print_csv(std::cout);
-    pull.print_csv(std::cout);
-    lat.print_csv(std::cout);
-  } else {
-    bw.print(std::cout);
-    pull.print(std::cout);
-    lat.print(std::cout);
-    std::cout << "reading: push-RDMA matches or beats two-sided bandwidth "
-                 "while eliminating receive-descriptor and credit "
-                 "management; pull adds one round trip per block — the "
-                 "tradeoff the paper's future-work section anticipates.\n";
-  }
+  bw.print(std::cout);
+  pull.print(std::cout);
+  lat.print(std::cout);
+  std::cout << "reading: push-RDMA matches or beats two-sided bandwidth "
+               "while eliminating receive-descriptor and credit "
+               "management; pull adds one round trip per block — the "
+               "tradeoff the paper's future-work section anticipates.\n";
   return 0;
 }

@@ -380,12 +380,10 @@ double via_bandwidth(std::uint64_t bytes, int iters) {
 int main(int argc, char** argv) {
   using namespace sv;
   std::int64_t iters = 50;
-  bool csv = false;
   bool copy_audit = false;
   harness::ObsArtifacts artifacts;
   CliParser cli("Figure 4: latency and bandwidth micro-benchmarks");
   cli.add_int("iters", &iters, "ping-pong / streaming iterations per size");
-  cli.add_flag("csv", &csv, "emit CSV instead of tables");
   cli.add_flag("copy-audit", &copy_audit,
                "check the zero-copy contract (mem.copies per message) "
                "instead of running the figure; nonzero exit on violation");
@@ -442,14 +440,9 @@ int main(int argc, char** argv) {
     b_fe_model.add(x, fe_model.stream_bandwidth_mbps(n));
   }
 
-  if (csv) {
-    lat.print_csv(std::cout);
-    bw.print_csv(std::cout);
-  } else {
-    lat.print(std::cout);
-    bw.print(std::cout);
-    std::cout << "paper targets: latency VIA ~9us, SocketVIA ~9.5us, TCP "
-                 "~47.5us; peak bandwidth 795/763/510 Mbps\n";
-  }
+  lat.print(std::cout);
+  bw.print(std::cout);
+  std::cout << "paper targets: latency VIA ~9us, SocketVIA ~9.5us, TCP "
+               "~47.5us; peak bandwidth 795/763/510 Mbps\n";
   return 0;
 }

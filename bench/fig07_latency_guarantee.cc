@@ -31,7 +31,7 @@ struct Panel {
   std::vector<double> rates;
 };
 
-void run_panel(const Panel& panel, int updates, bool csv,
+void run_panel(const Panel& panel, int updates,
                const harness::ObsArtifacts& artifacts) {
   const net::CostModel tcp_model{net::CalibrationProfile::kernel_tcp()};
   const net::CostModel svia_model{net::CalibrationProfile::socket_via()};
@@ -82,12 +82,8 @@ void run_panel(const Panel& panel, int updates, bool csv,
       }
     }
   }
-  if (csv) {
-    fig.print_csv(std::cout);
-  } else {
-    fig.print(std::cout);
-    blocks.print(std::cout, 0);
-  }
+  fig.print(std::cout);
+  blocks.print(std::cout, 0);
 }
 
 }  // namespace
@@ -96,12 +92,10 @@ void run_panel(const Panel& panel, int updates, bool csv,
 int main(int argc, char** argv) {
   using namespace sv;
   std::int64_t updates = 5;
-  bool csv = false;
   bool quick = false;
   CliParser cli(
       "Figure 7: average latency with updates-per-second guarantees");
   cli.add_int("updates", &updates, "complete updates measured per point");
-  cli.add_flag("csv", &csv, "emit CSV instead of tables");
   cli.add_flag("quick", &quick, "fewer x points");
   harness::ObsArtifacts artifacts;
   harness::add_obs_flags(cli, &artifacts);
@@ -116,12 +110,10 @@ int main(int argc, char** argv) {
           viz::virtual_microscope_compute(),
           quick ? std::vector<double>{2.0, 2.75, 3.25}
                 : std::vector<double>{2.0, 2.5, 2.75, 3.0, 3.25}};
-  run_panel(a, static_cast<int>(updates), csv, artifacts);
-  run_panel(b, static_cast<int>(updates), csv, artifacts);
-  if (!csv) {
-    std::cout << "paper shapes: TCP absent beyond ~3.25 (a) / ~3 (b) "
-                 "updates/sec; SocketVIA(DR) sustains the full range with "
-                 ">10x (a) / >12x (b) lower latency than TCP\n";
-  }
+  run_panel(a, static_cast<int>(updates), artifacts);
+  run_panel(b, static_cast<int>(updates), artifacts);
+  std::cout << "paper shapes: TCP absent beyond ~3.25 (a) / ~3 (b) "
+               "updates/sec; SocketVIA(DR) sustains the full range with "
+               ">10x (a) / >12x (b) lower latency than TCP\n";
   return 0;
 }

@@ -32,8 +32,7 @@ struct Panel {
 };
 
 void run_panel(const Panel& panel, const std::vector<double>& bounds_us,
-               int updates, bool csv,
-               const harness::ObsArtifacts& artifacts) {
+               int updates, const harness::ObsArtifacts& artifacts) {
   const net::CostModel tcp_model{net::CalibrationProfile::kernel_tcp()};
   const net::CostModel svia_model{net::CalibrationProfile::socket_via()};
 
@@ -85,12 +84,8 @@ void run_panel(const Panel& panel, const std::vector<double>& bounds_us,
       v_dr.add(bound_us, rd.uncontended_partial_latency.us());
     }
   }
-  if (csv) {
-    fig.print_csv(std::cout);
-  } else {
-    fig.print(std::cout);
-    verify.print(std::cout);
-  }
+  fig.print(std::cout);
+  verify.print(std::cout);
 }
 
 }  // namespace
@@ -99,11 +94,9 @@ void run_panel(const Panel& panel, const std::vector<double>& bounds_us,
 int main(int argc, char** argv) {
   using namespace sv;
   std::int64_t updates = 6;
-  bool csv = false;
   bool quick = false;
   CliParser cli("Figure 8: updates per second with latency guarantees");
   cli.add_int("updates", &updates, "complete updates measured per point");
-  cli.add_flag("csv", &csv, "emit CSV instead of tables");
   cli.add_flag("quick", &quick, "fewer x points");
   harness::ObsArtifacts artifacts;
   harness::add_obs_flags(cli, &artifacts);
@@ -118,12 +111,10 @@ int main(int argc, char** argv) {
   Panel b{"Figure 8(b): Updates/sec vs latency guarantee (linear "
           "computation, 18 ns/B)",
           viz::virtual_microscope_compute()};
-  run_panel(a, bounds, static_cast<int>(updates), csv, artifacts);
-  run_panel(b, bounds, static_cast<int>(updates), csv, artifacts);
-  if (!csv) {
-    std::cout << "paper shapes: TCP absent at the 100us bound; "
-                 "SocketVIA(DR) holds near-peak rate across bounds; with "
-                 "computation the gap narrows to ~4x (compute-bound viz)\n";
-  }
+  run_panel(a, bounds, static_cast<int>(updates), artifacts);
+  run_panel(b, bounds, static_cast<int>(updates), artifacts);
+  std::cout << "paper shapes: TCP absent at the 100us bound; "
+               "SocketVIA(DR) holds near-peak rate across bounds; with "
+               "computation the gap narrows to ~4x (compute-bound viz)\n";
   return 0;
 }

@@ -25,8 +25,7 @@ struct Panel {
 };
 
 void run_panel(const Panel& panel, const std::vector<double>& fractions,
-               int queries, bool csv,
-               const harness::ObsArtifacts& artifacts) {
+               int queries, const harness::ObsArtifacts& artifacts) {
   harness::Figure fig(panel.title, "fraction of complete-update queries",
                       "avg response time (ms)");
   struct Config {
@@ -56,11 +55,7 @@ void run_panel(const Panel& panel, const std::vector<double>& fractions,
       series.add(f, samples.mean() / 1e6);  // ns -> ms
     }
   }
-  if (csv) {
-    fig.print_csv(std::cout);
-  } else {
-    fig.print(std::cout);
-  }
+  fig.print(std::cout);
 }
 
 }  // namespace
@@ -69,12 +64,10 @@ void run_panel(const Panel& panel, const std::vector<double>& fractions,
 int main(int argc, char** argv) {
   using namespace sv;
   std::int64_t queries = 12;
-  bool csv = false;
   bool quick = false;
   bool full = false;
   CliParser cli("Figure 9: query-mix response time vs partitioning");
   cli.add_int("queries", &queries, "queries per point");
-  cli.add_flag("csv", &csv, "emit CSV instead of tables");
   cli.add_flag("quick", &quick, "fewer x points");
   cli.add_flag("full", &full, "the paper's full 0.1-step x axis");
   harness::ObsArtifacts artifacts;
@@ -91,12 +84,10 @@ int main(int argc, char** argv) {
   Panel b{"Figure 9(b): Query mix vs response time (linear computation, "
           "18 ns/B)",
           viz::virtual_microscope_compute()};
-  run_panel(a, fractions, static_cast<int>(queries), csv, artifacts);
-  run_panel(b, fractions, static_cast<int>(queries), csv, artifacts);
-  if (!csv) {
-    std::cout << "paper shapes: flat lines without partitioning; with 64 "
-                 "partitions TCP's slope is much steeper than SocketVIA's, "
-                 "so a 150 ms budget admits ~60% vs ~90% complete updates\n";
-  }
+  run_panel(a, fractions, static_cast<int>(queries), artifacts);
+  run_panel(b, fractions, static_cast<int>(queries), artifacts);
+  std::cout << "paper shapes: flat lines without partitioning; with 64 "
+               "partitions TCP's slope is much steeper than SocketVIA's, "
+               "so a 150 ms budget admits ~60% vs ~90% complete updates\n";
   return 0;
 }

@@ -25,10 +25,8 @@ using namespace sv::literals;
 int main(int argc, char** argv) {
   using namespace sv;
   std::int64_t total_mib = 8;
-  bool csv = false;
   CliParser cli("Figure 10: RR load-balancer reaction time vs heterogeneity");
   cli.add_int("total-mib", &total_mib, "dataset size (MiB)");
-  cli.add_flag("csv", &csv, "emit CSV instead of tables");
   harness::ObsArtifacts artifacts;
   harness::add_obs_flags(cli, &artifacts);
   if (!cli.parse(argc, argv)) return 1;
@@ -58,13 +56,9 @@ int main(int argc, char** argv) {
     s_tcp.add(factor, tcp.slow_service_times.mean() / 1e3);
   }
 
-  if (csv) {
-    fig.print_csv(std::cout);
-  } else {
-    fig.print(std::cout);
-    std::cout << "paper shape: reaction time grows linearly with the "
-                 "factor; SocketVIA reacts ~8x faster (2 KB vs 16 KB "
-                 "blocks)\n";
-  }
+  fig.print(std::cout);
+  std::cout << "paper shape: reaction time grows linearly with the "
+               "factor; SocketVIA reacts ~8x faster (2 KB vs 16 KB "
+               "blocks)\n";
   return 0;
 }

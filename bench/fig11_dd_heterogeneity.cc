@@ -24,13 +24,11 @@ int main(int argc, char** argv) {
   // 60 ns/B and note the substitution in EXPERIMENTS.md. The heterogeneity
   // *mechanism* (stochastic slowdown + DD routing) is unchanged.
   std::int64_t compute_ns_per_byte = 60;
-  bool csv = false;
   bool quick = false;
   CliParser cli("Figure 11: DD scheduling vs stochastic heterogeneity");
   cli.add_int("total-mib", &total_mib, "dataset size (MiB)");
   cli.add_int("compute-ns", &compute_ns_per_byte,
               "worker computation cost (ns per byte)");
-  cli.add_flag("csv", &csv, "emit CSV instead of tables");
   cli.add_flag("quick", &quick, "fewer probability points");
   harness::ObsArtifacts artifacts;
   harness::add_obs_flags(cli, &artifacts);
@@ -78,12 +76,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (csv) {
-    fig.print_csv(std::cout);
-  } else {
-    fig.print(std::cout, 0);
-    std::cout << "paper shape: execution time rises with p and the factor; "
-                 "demand-driven scheduling keeps TCP close to SocketVIA\n";
-  }
+  fig.print(std::cout, 0);
+  std::cout << "paper shape: execution time rises with p and the factor; "
+               "demand-driven scheduling keeps TCP close to SocketVIA\n";
   return 0;
 }

@@ -83,8 +83,7 @@ class Reducer : public dc::Filter {
           b->materialized() ? fnv1a(kFnvOffset, b->payload) : 0;
       dc::DataBuffer out;
       out.bytes = 16;  // digest record
-      out.tag = b->tag;
-      out.meta = digest;
+      out.tag = digest;
       ctx.write(std::move(out));
     }
   }
@@ -97,7 +96,7 @@ class Collector : public dc::Filter {
   void process(dc::FilterContext& ctx) override {
     int got = 0;
     while (auto b = ctx.read()) {
-      *folded_ ^= std::any_cast<std::uint64_t>(b->meta);
+      *folded_ ^= b->tag;
       ++got;
     }
     seen_ += got;

@@ -56,26 +56,4 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto quote = [](const std::string& s) -> std::string {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (char ch : s) {
-      if (ch == '"') out += '"';
-      out += ch;
-    }
-    out += '"';
-    return out;
-  };
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << quote(row[c]);
-    }
-    os << '\n';
-  };
-  print_row(headers_);
-  for (const auto& row : rows_) print_row(row);
-}
-
 }  // namespace sv

@@ -1,8 +1,7 @@
 // Plain-text table rendering for benchmark output.
 //
-// Benches print the same rows/series the paper's figures plot; TablePrinter
-// renders them as aligned text and (optionally) CSV so results can be
-// re-plotted.
+// Benches print the same rows/series the paper's figures plot; Table
+// renders them as aligned text.
 #pragma once
 
 #include <cstddef>
@@ -31,8 +30,6 @@ class Table {
 
   /// Renders as an aligned text table.
   void print(std::ostream& os) const;
-  /// Renders as CSV (RFC-4180-ish quoting).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "common/check.h"
-#include "common/units.h"
 #include "mem/payload.h"
 
 namespace sv::dc {
@@ -18,14 +17,10 @@ struct DataBuffer {
   std::uint64_t uow_id = 0;
   /// Application tag (e.g. chunk index within a query).
   std::uint64_t tag = 0;
-  /// Optional application metadata.
-  std::any meta{};
   /// Payload view (mem/payload.h): empty for timing-only buffers, shared
   /// by reference otherwise — the runtime and transports never copy it;
   /// sub-chunks are zero-copy slices of the parent's payload.
   mem::Payload payload{};
-  /// Stamped by the runtime when the buffer is first written to a stream.
-  SimTime created_at{};
 
   /// True when real payload bytes are attached (timing-only buffers carry
   /// none; virtual payloads flow through transports but hold no bytes).

@@ -217,7 +217,6 @@ class Runtime::ContextImpl final : public FilterContext {
           (core_->sim->now() - stall_start).ns()));
     }
     buffer.uow_id = current_uow_.id;
-    buffer.created_at = core_->sim->now();
     net::Message msg;
     msg.bytes = buffer.bytes;
     msg.tag = encode_tag(kKindData, current_uow_.id);

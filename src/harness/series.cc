@@ -48,9 +48,4 @@ void Figure::print(std::ostream& os, int precision) const {
   os << "\n";
 }
 
-void Figure::print_csv(std::ostream& os, int precision) const {
-  os << "# " << title_ << " (y: " << y_label_ << ")\n";
-  to_table(precision).print_csv(os);
-}
-
 }  // namespace sv::harness

@@ -43,7 +43,6 @@ class Figure {
   /// Prints the title, axis labels, and the combined table. `precision`
   /// controls y formatting; missing points print "-".
   void print(std::ostream& os, int precision = 2) const;
-  void print_csv(std::ostream& os, int precision = 4) const;
 
  private:
   [[nodiscard]] Table to_table(int precision) const;

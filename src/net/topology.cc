@@ -45,25 +45,12 @@ TopologySpec TopologySpec::fat_tree(int k, int oversubscription) {
   return s;
 }
 
-TopologySpec TopologySpec::edge_core(int nodes_per_edge, int uplinks_per_edge,
-                                     int oversubscription) {
-  TopologySpec s;
-  s.kind = TopologyKind::kEdgeCore;
-  s.nodes_per_edge = nodes_per_edge;
-  s.uplinks_per_edge = uplinks_per_edge;
-  s.oversubscription = oversubscription;
-  return s;
-}
-
 int TopologySpec::max_nodes() const {
   switch (kind) {
     case TopologyKind::kSingleCrossbar:
       return INT_MAX;
     case TopologyKind::kFatTree:
       return fat_tree_k * fat_tree_k * fat_tree_k / 4;
-    case TopologyKind::kEdgeCore:
-      // An edge switch is a finite crossbar but edges are unbounded.
-      return INT_MAX;
   }
   return 0;
 }
@@ -85,11 +72,6 @@ Topology::Topology(sim::Simulation* sim, const TopologySpec& spec,
       SV_ASSERT(node_count <= spec_.max_nodes(),
                 "Topology: node count exceeds fat-tree host capacity k^3/4");
       build_fat_tree();
-      break;
-    case TopologyKind::kEdgeCore:
-      SV_ASSERT(spec_.nodes_per_edge >= 1 && spec_.uplinks_per_edge >= 1,
-                "Topology: edge-core shape must be positive");
-      build_edge_core();
       break;
   }
 }
@@ -168,37 +150,6 @@ void Topology::build_fat_tree() {
   }
 }
 
-void Topology::build_edge_core() {
-  const int m = spec_.nodes_per_edge;
-  const int u = spec_.uplinks_per_edge;
-  const int edges = (node_count_ + m - 1) / m;
-  edge_count_ = edges;
-  const int core_base = edges;
-
-  // Uplink rate: aggregate host bandwidth under an edge (m links) is
-  // `oversubscription` times the edge's aggregate uplink bandwidth
-  // (u links), so each uplink serializes at host * u * r / m ps per byte.
-  const std::int64_t up_ps = kHostLink.ps_per_byte() * u *
-                             spec_.oversubscription / m;
-  const PerByteCost uplink = PerByteCost::picos_per_byte(
-      up_ps > 0 ? up_ps : 1);
-
-  edge_up_.assign(slot(edges, u, 0), 0);
-  edge_down_.assign(slot(edges, u, 0), 0);
-  for (int e = 0; e < edges; ++e) {
-    for (int i = 0; i < u; ++i) {
-      const std::string en = switch_name("e", e);
-      const std::string cn = switch_name("c", i);
-      edge_up_[slot(e, u, i)] =
-          static_cast<std::uint32_t>(links_.size());
-      add_link(en + "->" + cn, e, core_base + i, uplink);
-      edge_down_[slot(e, u, i)] =
-          static_cast<std::uint32_t>(links_.size());
-      add_link(cn + "->" + en, core_base + i, e, uplink);
-    }
-  }
-}
-
 int Topology::edge_switch_of(int node) const {
   SV_ASSERT(node >= 0 && node < node_count_,
             "Topology::edge_switch_of: unknown node");
@@ -207,8 +158,6 @@ int Topology::edge_switch_of(int node) const {
       return 0;
     case TopologyKind::kFatTree:
       return node / half_k_;
-    case TopologyKind::kEdgeCore:
-      return node / spec_.nodes_per_edge;
   }
   return 0;
 }
@@ -226,16 +175,6 @@ Topology::Path Topology::route(int src, int dst) const {
   const std::uint32_t key =
       static_cast<std::uint32_t>(src) + static_cast<std::uint32_t>(dst);
 
-  if (spec_.kind == TopologyKind::kEdgeCore) {
-    const int u = spec_.uplinks_per_edge;
-    const int i = static_cast<int>(key % static_cast<std::uint32_t>(u));
-    p.hops = 2;
-    p.link[0] = edge_up_[slot(es, u, i)];
-    p.link[1] = edge_down_[slot(ed, u, i)];
-    return p;
-  }
-
-  // Fat-tree.
   const int ps = es / half_k_;
   const int pd = ed / half_k_;
   if (ps == pd) {
@@ -265,14 +204,6 @@ double Topology::edge_uplink_bytes_per_sec(int e) const {
   switch (spec_.kind) {
     case TopologyKind::kSingleCrossbar:
       return 0.0;
-    case TopologyKind::kEdgeCore: {
-      double total = 0.0;
-      for (int i = 0; i < spec_.uplinks_per_edge; ++i) {
-        total += links_[edge_up_[slot(e, spec_.uplinks_per_edge, i)]]
-                     ->bytes_per_sec();
-      }
-      return total;
-    }
     case TopologyKind::kFatTree: {
       // The pod's agg→core tier, attributed evenly across its k/2 edges.
       const int pod = e / half_k_;

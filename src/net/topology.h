@@ -21,10 +21,6 @@
 //                    and k/2 aggregation switches, (k/2)^2 cores, up to
 //                    k^3/4 hosts filled in id order. oversubscription > 1
 //                    slows the agg↔core tier by that factor.
-//   edge_core(m,u,r) 2-level leaf-spine: edge switches of m hosts, u
-//                    uplinks each (one per core switch), sized so aggregate
-//                    host bandwidth under an edge is r times its aggregate
-//                    uplink bandwidth.
 //
 // Routing is deterministic and symmetric by construction: the up-path
 // switch choice is a pure function of (src + dst), so route(a, b) is the
@@ -52,7 +48,7 @@
 
 namespace sv::net {
 
-enum class TopologyKind { kSingleCrossbar, kFatTree, kEdgeCore };
+enum class TopologyKind { kSingleCrossbar, kFatTree };
 
 /// Serialization cost of a host-speed fabric link. 10 ns/B ≈ 800 Mbps,
 /// matching the cLAN DMA path the calibration profiles model.
@@ -68,22 +64,14 @@ struct TopologySpec {
   /// kFatTree: the (even) arity k. Capacity k^3/4 hosts.
   int fat_tree_k = 4;
 
-  /// kEdgeCore: hosts per edge switch and uplinks per edge (= number of
-  /// core switches; uplink i of every edge lands on core i).
-  int nodes_per_edge = 16;
-  int uplinks_per_edge = 2;
-
-  /// Oversubscription ratio r >= 1: aggregate host bandwidth below an edge
-  /// (fat-tree: below a pod's aggregation tier) is r times the aggregate
-  /// bandwidth of the links above it. r = 1 is full bisection. Integer so
-  /// link serialization costs stay exact.
+  /// Oversubscription ratio r >= 1: aggregate host bandwidth below a pod's
+  /// aggregation tier is r times the aggregate bandwidth of the links above
+  /// it. r = 1 is full bisection. Integer so link serialization costs stay
+  /// exact.
   int oversubscription = 1;
 
   [[nodiscard]] static TopologySpec single_crossbar();
   [[nodiscard]] static TopologySpec fat_tree(int k, int oversubscription = 1);
-  [[nodiscard]] static TopologySpec edge_core(int nodes_per_edge,
-                                              int uplinks_per_edge,
-                                              int oversubscription);
 
   /// Host capacity of the fabric this spec describes (INT32_MAX for the
   /// crossbar: it has no structure to exhaust).
@@ -147,9 +135,9 @@ class Topology {
   /// Extra propagation latency of the routed path (hops * kHopLatency).
   [[nodiscard]] SimTime path_latency(int src, int dst) const;
 
-  /// Aggregate uplink bandwidth leaving edge switch `e`, in bytes/second
-  /// (fat-tree: the pod's agg→core tier, attributed evenly across the
-  /// pod's edges). The capacity contract topology_test checks:
+  /// Aggregate uplink bandwidth leaving edge switch `e`, in bytes/second:
+  /// the pod's agg→core tier, attributed evenly across the pod's edges (0
+  /// for the crossbar). The capacity contract topology_test checks:
   /// host_bw * nodes_under_edge == oversubscription * this value.
   [[nodiscard]] double edge_uplink_bytes_per_sec(int e) const;
 
@@ -157,7 +145,6 @@ class Topology {
   void add_link(std::string name, int from_sw, int to_sw,
                 PerByteCost per_byte);
   void build_fat_tree();
-  void build_edge_core();
 
   sim::Simulation* sim_;
   TopologySpec spec_;
@@ -167,10 +154,8 @@ class Topology {
   int half_k_ = 0;       // k/2: hosts per edge, edges per pod, aggs per pod
   int cores_ = 0;        // (k/2)^2
   std::vector<std::unique_ptr<Link>> links_;
-  // Dense link-id lookup tables, filled during build:
-  //   fat-tree: up[edge][agg_in_pod], down[edge][agg_in_pod],
-  //             agg_up[pod][agg_in_pod][core_leg], agg_down[...]
-  //   edge-core: up[edge][uplink], down[edge][uplink]
+  // Dense link-id lookup tables, filled during build: up[edge][agg_in_pod],
+  // down[edge][agg_in_pod], agg_up[pod][agg_in_pod][core_leg], agg_down[...]
   std::vector<std::uint32_t> edge_up_;    // edge-tier up links
   std::vector<std::uint32_t> edge_down_;  // edge-tier down links
   std::vector<std::uint32_t> agg_up_;     // agg→core

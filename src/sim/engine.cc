@@ -59,7 +59,7 @@ EventId Engine::schedule_at(SimTime t, Handler&& fn) {
   SV_ASSERT(t >= now_, "Engine::schedule_at: time in the past (t=" +
                            t.to_string() + " now=" + now_.to_string() + ")");
   const std::uint64_t id = next_id_++;
-  const std::uint32_t slot = queue_->push(t, next_seq_++, id, std::move(fn));
+  const std::uint32_t slot = queue_->push(t, id, std::move(fn));
   ++live_events_;
   return EventId{id, slot};
 }

@@ -1,4 +1,4 @@
-// Discrete-event core: a clock and a (time, seq)-ordered event queue.
+// Discrete-event core: a clock and a (time, id)-ordered event queue.
 //
 // Events with equal timestamps fire in insertion order, which — together
 // with the one-process-at-a-time execution model in simulation.h — makes
@@ -90,7 +90,6 @@ class Engine {
   void note_fired(SimTime t, std::uint64_t id);
 
   SimTime now_ = SimTime::zero();
-  std::uint64_t next_seq_ = 0;
   std::uint64_t next_id_ = 1;
   std::size_t live_events_ = 0;
   bool in_handler_ = false;

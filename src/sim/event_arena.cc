@@ -39,7 +39,6 @@ EventSlot* EventArena::acquire() {
   }
   SV_DCHECK(!slot->live, "EventArena handed out a live slot (aliasing)");
   SV_DCHECK(!slot->fn, "recycled slot still holds a handler");
-  slot->prev = nullptr;
   slot->next = nullptr;
   slot->cancelled = false;
   slot->live = true;
@@ -53,7 +52,6 @@ void EventArena::release(EventSlot* slot) {
   SV_DCHECK(live_ > 0, "release with no live slots");
   slot->fn.reset();
   slot->live = false;
-  slot->prev = nullptr;
   slot->next = free_head_;
   free_head_ = slot;
   --live_;

@@ -163,14 +163,12 @@ class InlineHandler {
   };
 };
 
-/// One pending event. Lives in an EventArena slab; the prev/next links
-/// thread it through whichever intrusive list currently owns it (a wheel
-/// bucket, the far list, or the arena free list).
+/// One pending event. Lives in an EventArena slab; the next link threads
+/// it through whichever intrusive list currently owns it (a wheel bucket
+/// or the arena free list).
 struct EventSlot {
   SimTime time;
-  std::uint64_t seq = 0;
   std::uint64_t id = 0;
-  EventSlot* prev = nullptr;
   EventSlot* next = nullptr;
   /// Stable arena index (slab * kSlabSlots + offset); an EventId carries
   /// it, so cancel finds the slot without a lookup.
@@ -182,6 +180,9 @@ struct EventSlot {
   bool live = false;
   InlineHandler fn;
 };
+// 32 bytes of bookkeeping plus the 64-byte handler: a field added here
+// grows every slot of every slab.
+static_assert(sizeof(EventSlot) <= 96, "EventSlot outgrew 96 bytes");
 
 /// Slab allocator + LIFO free list for EventSlots (see file comment).
 class EventArena {

@@ -18,9 +18,8 @@ namespace {
 
 class ReferenceEventQueue final : public EventQueue {
  public:
-  std::uint32_t push(SimTime t, std::uint64_t seq, std::uint64_t id,
-                     InlineHandler&& fn) override {
-    queue_.push(Event{t, seq, id, std::move(fn)});
+  std::uint32_t push(SimTime t, std::uint64_t id, InlineHandler&& fn) override {
+    queue_.push(Event{t, id, std::move(fn)});
     pending_ids_.insert(id);
     return 0;
   }
@@ -66,14 +65,13 @@ class ReferenceEventQueue final : public EventQueue {
  private:
   struct Event {
     SimTime time;
-    std::uint64_t seq;
     std::uint64_t id;
     InlineHandler fn;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return a.id > b.id;
     }
   };
 
@@ -102,7 +100,7 @@ class ReferenceEventQueue final : public EventQueue {
 // once per level crossed.
 //
 // Ordering: buckets are unsorted intrusive stacks; the bucket due next is
-// drained into `drain_`, a scratch vector sorted by (time, seq) — the same
+// drained into `drain_`, a scratch vector sorted by (time, id) — the same
 // total order the reference heap pops in. Events scheduled at or before
 // the wheel's current position (schedule-at-now, or pushes after the wheel
 // advanced past their tick during a bounded run_until) are merge-inserted
@@ -151,11 +149,9 @@ class TimingWheelEventQueue final : public EventQueue {
     }
   }
 
-  std::uint32_t push(SimTime t, std::uint64_t seq, std::uint64_t id,
-                     InlineHandler&& fn) override {
+  std::uint32_t push(SimTime t, std::uint64_t id, InlineHandler&& fn) override {
     EventSlot* s = arena_.acquire();
     s->time = t;
-    s->seq = seq;
     s->id = id;
     s->fn = std::move(fn);
     if (s->fn.heap_allocated()) arena_.handler_heap_counter()->inc();
@@ -218,7 +214,7 @@ class TimingWheelEventQueue final : public EventQueue {
 
   [[nodiscard]] static bool before(const EventSlot* a, const EventSlot* b) {
     if (a->time != b->time) return a->time < b->time;
-    return a->seq < b->seq;
+    return a->id < b->id;
   }
 
   /// Files a slot by tick. Lowest level whose current wrap contains the
@@ -261,13 +257,13 @@ class TimingWheelEventQueue final : public EventQueue {
   }
 
   /// Comparator for the far min-heap: std::push_heap builds a max-heap, so
-  /// invert before() to keep the earliest (time, seq) at the front.
+  /// invert before() to keep the earliest (time, id) at the front.
   [[nodiscard]] static bool far_later(const EventSlot* a, const EventSlot* b) {
     return before(b, a);
   }
 
   /// Events beyond the current L2 epoch wait in a binary min-heap keyed on
-  /// (time, seq). Only min-extraction order matters here (FIFO-within-
+  /// (time, id). Only min-extraction order matters here (FIFO-within-
   /// timestamp is restored when the slots are re-filed into the wheel and
   /// drain_ sorts them), so a heap's O(log n) insert beats a sorted list's
   /// linear scan for the uniformly-random far horizons the stacks generate.
@@ -309,7 +305,7 @@ class TimingWheelEventQueue final : public EventQueue {
   }
 
   /// Drains L0 bucket `idx` (all slots share one tick) into drain_,
-  /// sorted by (time, seq).
+  /// sorted by (time, id).
   void drain_bucket(unsigned idx) {
     SV_DCHECK(drain_.empty() && drain_pos_ == 0, "drain not consumed");
     EventSlot* s = buckets_[0][idx];
@@ -322,8 +318,8 @@ class TimingWheelEventQueue final : public EventQueue {
       s->next = nullptr;
       s = next;
     }
-    // The bucket is a LIFO stack, so pushes in seq order come out reversed;
-    // undoing the reversal restores (time, seq) order outright whenever the
+    // The bucket is a LIFO stack, so pushes in id order come out reversed;
+    // undoing the reversal restores (time, id) order outright whenever the
     // bucket was filled front-to-back (the common case — e.g. an entire
     // same-timestamp burst), making the sort a verify-only pass.
     std::reverse(drain_.begin(), drain_.end());

@@ -2,7 +2,7 @@
 //
 // Engine owns the clock, ids, the live-event count and the trace digest;
 // an EventQueue owns only *ordering*: deliver pending events in ascending
-// (time, seq), with exact cancellation by EventId. Two implementations
+// (time, id), with exact cancellation by EventId. Two implementations
 // share the contract:
 //
 //  - ReferenceEventQueue: the original std::priority_queue over
@@ -63,10 +63,10 @@ class EventQueue {
   virtual ~EventQueue() = default;
 
   /// Inserts an event and returns the slot that holds it (EventId::slot).
-  /// `seq` is the engine's global insertion counter: delivery is in
-  /// ascending (time, seq), which makes same-timestamp events FIFO — the
-  /// property the determinism contract leans on (DESIGN.md §8, §12).
-  virtual std::uint32_t push(SimTime t, std::uint64_t seq, std::uint64_t id,
+  /// The engine issues ids in insertion order: delivery is in ascending
+  /// (time, id), which makes same-timestamp events FIFO — the property the
+  /// determinism contract leans on (DESIGN.md §8, §12).
+  virtual std::uint32_t push(SimTime t, std::uint64_t id,
                              InlineHandler&& fn) = 0;
 
   /// Exact cancel: true iff the event `e` names is pending and not already

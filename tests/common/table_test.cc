@@ -45,18 +45,6 @@ TEST(TableTest, CellAccess) {
   EXPECT_EQ(t.cell(0, 0), "hello");
 }
 
-TEST(TableTest, CsvQuoting) {
-  Table t({"name", "note"});
-  t.add_row({"plain", "with,comma"});
-  t.add_row({"quote\"inside", "multi\nline"});
-  std::ostringstream os;
-  t.print_csv(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(out.find("\"quote\"\"inside\""), std::string::npos);
-  EXPECT_EQ(out.find("plain,"), out.find("plain"));  // unquoted plain cell
-}
-
 TEST(TableTest, ColumnsAlignAcrossRows) {
   Table t({"a", "b"});
   t.add_row({"x", "longvalue"});

@@ -54,17 +54,5 @@ TEST(FigureTest, PrintsAlignedUnion) {
   EXPECT_NE(out.find("300.00"), std::string::npos);
 }
 
-TEST(FigureTest, CsvOutput) {
-  Figure f("fig", "x", "y");
-  auto& a = f.add_series("only");
-  a.add(0.5, 1.25);
-  std::ostringstream os;
-  f.print_csv(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("# fig"), std::string::npos);
-  EXPECT_NE(out.find("x,only"), std::string::npos);
-  EXPECT_NE(out.find("0.50,1.2500"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace sv::harness

@@ -37,6 +37,30 @@ TEST(EngineTest, SameTimeFiresInInsertionOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
+TEST(EngineTest, SameTimeFifoHoldsAcrossARecycledSlot) {
+  // The event at 1 ns frees slot 0; its handler schedules at `t` into that
+  // slot, under a newer id than the event already queued at `t`. Equal
+  // times fire in (time, id) order, never by slot. On the wheel, 5 ns
+  // lands in the drain list and 5 µs in a level-0 bucket.
+  for (const QueueKind kind :
+       {QueueKind::kTimingWheel, QueueKind::kReferenceHeap}) {
+    for (const SimTime t : {5_ns, 5_us}) {
+      Engine e(kind);
+      std::vector<int> order;
+      EventId late{};
+      const EventId first = e.schedule_at(1_ns, [&] {
+        late = e.schedule_at(t, [&] { order.push_back(2); });
+      });
+      const EventId queued = e.schedule_at(t, [&] { order.push_back(1); });
+      e.run();
+      EXPECT_EQ(late.slot, first.slot) << e.queue_name();
+      EXPECT_GT(late.id, queued.id);
+      EXPECT_EQ(order, (std::vector<int>{1, 2}))
+          << e.queue_name() << " at " << t.to_string();
+    }
+  }
+}
+
 TEST(EngineTest, HandlerMayScheduleMoreEvents) {
   Engine e;
   int fired = 0;
