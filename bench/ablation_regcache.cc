@@ -16,9 +16,9 @@
 //                    thrashes when capacity < working set
 //
 // Results go to stdout and BENCH_regcache.json (a harness::BenchReport,
-// one row per cell and policy). CI's mem job runs `--quick` and gates it
-// with tools/bench_compare.py: deterministic fields (send-loop time,
-// ledger counters, winners) exact-match; events/sec ratio-gated.
+// one row per cell and policy). CI's build-test job runs `--quick` and
+// gates it with tools/bench_compare.py: deterministic fields (send-loop
+// time, ledger counters, winners) exact-match; events/sec ratio-gated.
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
       "Selective-copy policy ablation: message size x reuse locality x "
       "registration cost x cache capacity; emits BENCH_regcache.json.");
   cli.add_flag("quick", &quick,
-               "calibrated registration cost only (CI mem job)");
+               "calibrated registration cost only (CI build-test job)");
   cli.add_int("msgs", &msgs, "messages per cell");
   cli.add_string("json", &json_path, "output JSON path");
   if (!cli.parse(argc, argv)) return 1;

@@ -15,8 +15,7 @@
 //                  of milliseconds late: p99 blows through the SLO.
 //   controlled     slo::Controller watching 5 ms latency windows. It
 //                  demotes the degraded replicas (re-routing their
-//                  traffic, flushing their queues and pin-down caches),
-//                  throttles the sheddable bulk class, and shrinks the
+//                  traffic and flushing their queues), throttles the sheddable bulk class, and shrinks the
 //                  chunk size — holding delivered-update p99 inside the
 //                  target at the cost of explicit, counted shed load.
 //

@@ -15,9 +15,9 @@
 //                resizes the DataCutter/workload chunk bytes online
 //                (shrink under violation, regrow on recovery).
 //   replicas     node demotion: traffic shifts away from a degraded node
-//                via the workload's fanout tables, the node's mux lanes
-//                are drained and its RegCache flushed (pinned memory
-//                released); a probation timer promotes it back.
+//                via the workload's fanout tables and the updates queued
+//                on the node's mux lanes, to it and from it, are shed; a
+//                probation timer promotes it back.
 //
 // Determinism rules (the reason replays stay bit-identical):
 //   * every decision reads only registry values at sim-time publish
@@ -139,7 +139,7 @@ struct Actuators {
   AdmissionControl* admission = nullptr;
   /// Resize the workload/DataCutter chunk size to `bytes`.
   std::function<void(std::uint64_t bytes)> apply_chunk_bytes;
-  /// Shift traffic away from `node`, drain its lanes, flush its RegCache.
+  /// Shift traffic away from `node` and shed its queued mux lanes.
   std::function<void(int node)> apply_demotion;
   /// End `node`'s probation; traffic may return.
   std::function<void(int node)> apply_promotion;

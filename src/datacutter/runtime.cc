@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "datacutter/local_socket.h"
+#include "sim/ring_fifo.h"
 
 namespace sv::dc {
 namespace {
@@ -25,6 +26,14 @@ std::uint64_t encode_tag(std::uint64_t kind, std::uint64_t uow_id) {
 }
 std::uint64_t tag_kind(std::uint64_t tag) { return tag & 0xff; }
 std::uint64_t tag_uow(std::uint64_t tag) { return tag >> 8; }
+
+/// The application tags of one connection's data buffers, oldest first.
+/// The producer pushes each buffer's tag before sending it. The stream is
+/// reliable and in order, and the consumer handles each connection's
+/// messages in arrival order (deferred ones wait in `pending[ep]` in
+/// order), so the next data message it handles from that connection is
+/// the buffer whose tag is at the front.
+using TagFifo = sim::RingFifo<std::uint64_t>;
 
 }  // namespace
 
@@ -71,6 +80,8 @@ struct Runtime::CopyState {
     const StreamSpec* spec = nullptr;  // points into owned_group
     std::size_t stream_idx = 0;
     std::vector<std::unique_ptr<sockets::SvSocket>> socks;
+    /// Per consumer copy: the tag FIFO shared with that consumer's port.
+    std::vector<std::shared_ptr<TagFifo>> tags;
     std::vector<std::int64_t> unacked;
     std::size_t rr_next = 0;
     std::unique_ptr<sim::WaitQueue> ack_wait;  // DD producers block here
@@ -82,6 +93,8 @@ struct Runtime::CopyState {
     const StreamSpec* spec = nullptr;
     std::size_t stream_idx = 0;
     std::vector<std::unique_ptr<sockets::SvSocket>> socks;
+    /// Per producer copy: the tag FIFO shared with that producer's port.
+    std::vector<std::shared_ptr<TagFifo>> tags;
     /// Fan-in item: endpoint index + message (nullopt = endpoint closed).
     struct Item {
       std::size_t ep;
@@ -216,12 +229,11 @@ class Runtime::ContextImpl final : public FilterContext {
       cs_->c_stall_ns->inc(static_cast<std::uint64_t>(
           (core_->sim->now() - stall_start).ns()));
     }
-    buffer.uow_id = current_uow_.id;
     net::Message msg;
     msg.bytes = buffer.bytes;
     msg.tag = encode_tag(kKindData, current_uow_.id);
-    msg.payload = buffer.payload;
-    msg.meta = std::move(buffer);
+    msg.payload = std::move(buffer.payload);
+    port.tags[target]->push_back(buffer.tag);
     timed_send(*port.socks[target], std::move(msg));
     ++port.unacked[target];
     port.g_unacked->add(1);
@@ -307,7 +319,10 @@ class Runtime::ContextImpl final : public FilterContext {
       timed_send(*port.socks[ep], std::move(ack));
     }
     core_->sim->delay(kReadOverhead);
-    return std::any_cast<DataBuffer>(std::move(msg.meta));
+    TagFifo& tags = *port.tags[ep];
+    DataBuffer buf{msg.bytes, uow_id, tags.front(), std::move(msg.payload)};
+    tags.pop_front();
+    return buf;
   }
 
   CopyState* cs_;
@@ -395,6 +410,7 @@ void Runtime::start() {
       port.spec = &stream;
       port.stream_idx = s;
       port.socks.resize(consumers.size());
+      port.tags.resize(consumers.size());
       port.unacked.assign(consumers.size(), 0);
       port.ack_wait = std::make_unique<sim::WaitQueue>(
           sim_, stream.from + std::to_string(p->copy) + ".acks" +
@@ -409,6 +425,7 @@ void Runtime::start() {
       port.spec = &stream;
       port.stream_idx = s;
       port.socks.resize(producers.size());
+      port.tags.resize(producers.size());
       port.merged = std::make_unique<sim::Channel<CopyState::InPort::Item>>(
           sim_, 0,
           stream.to + std::to_string(c->copy) + ".in" + std::to_string(s));
@@ -436,6 +453,9 @@ void Runtime::start() {
         }
         producers[p]->outputs.back().socks[c] = std::move(pair.first);
         consumers[c]->inputs.back().socks[p] = std::move(pair.second);
+        auto tags = std::make_shared<TagFifo>();
+        producers[p]->outputs.back().tags[c] = tags;
+        consumers[c]->inputs.back().tags[p] = std::move(tags);
       }
     }
   }

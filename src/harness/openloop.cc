@@ -16,10 +16,6 @@ double ArrivalSpec::peak_rate_per_sec() const {
   if (kind == ArrivalKind::kMmpp) {
     peak = std::max(peak, high_rate_per_sec());
   }
-  peak *= 1.0 + diurnal_amplitude;
-  for (const FlashCrowd& fc : flash_crowds) {
-    peak *= static_cast<double>(fc.multiplier);
-  }
   return peak;
 }
 
@@ -41,8 +37,6 @@ SimTime exp_gap_ns(Rng& rng, double mean_ns) {
 ArrivalProcess::ArrivalProcess(const ArrivalSpec& spec, std::uint64_t seed)
     : spec_(spec), peak_(spec.peak_rate_per_sec()) {
   SV_ASSERT(spec_.rate_per_sec > 0.0, "ArrivalSpec: rate must be positive");
-  SV_ASSERT(spec_.diurnal_amplitude >= 0.0 && spec_.diurnal_amplitude < 1.0,
-            "ArrivalSpec: diurnal amplitude must be in [0, 1)");
   std::uint64_t st = seed;
   arrivals_ = Rng(splitmix64_next(st));
   states_ = Rng(splitmix64_next(st));
@@ -65,21 +59,6 @@ double ArrivalProcess::rate_at(SimTime t) {
       state_until_ += exp_gap_ns(states_, static_cast<double>(mean.ns()));
     }
     if (high_) r = spec_.high_rate_per_sec();
-  }
-  if (spec_.diurnal_period > SimTime::zero()) {
-    // Triangular wave: phase fraction in [0,1) from integer ns, peak at
-    // half-period. Scales the rate across [1-a, 1+a].
-    const std::int64_t phase = t.ns() % spec_.diurnal_period.ns();
-    const double frac =
-        static_cast<double>(phase) /
-        static_cast<double>(spec_.diurnal_period.ns());
-    const double tri = frac < 0.5 ? 2.0 * frac : 2.0 - 2.0 * frac;
-    r *= 1.0 - spec_.diurnal_amplitude + 2.0 * spec_.diurnal_amplitude * tri;
-  }
-  for (const FlashCrowd& fc : spec_.flash_crowds) {
-    if (t >= fc.at && t < fc.at + fc.duration) {
-      r *= static_cast<double>(fc.multiplier);
-    }
   }
   return r;
 }
@@ -229,16 +208,14 @@ OpenLoopResult run_open_loop(const OpenLoopConfig& cfg) {
     };
     acts.apply_demotion = [&muxes, &demoted, nodes](int node) {
       // Quiesce the degraded replica in both directions: flag it so the
-      // generators re-route new updates (and shed its own arrivals),
+      // generators re-route new updates (and shed its own arrivals), and
       // discard every stale queued update headed toward it AND the
-      // backlog its stalled sender can no longer ship, and release its
-      // pin-down cache (mem.regcache_evictions reconciles).
+      // backlog its stalled sender can no longer ship.
       demoted[static_cast<std::size_t>(node)] = 1;
       for (auto& m : muxes) m->flush_lane(node);
       for (int d = 0; d < nodes; ++d) {
         muxes[static_cast<std::size_t>(node)]->flush_lane(d);
       }
-      muxes[static_cast<std::size_t>(node)]->flush_registrations();
     };
     acts.apply_promotion = [&demoted](int node) {
       demoted[static_cast<std::size_t>(node)] = 0;

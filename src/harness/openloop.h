@@ -8,13 +8,12 @@
 // update submissions do not wait for the system — the open-loop discipline
 // the ROADMAP's scale work needs.
 //
-//   ArrivalProcess   pure arrival-time math: Poisson or 2-state MMPP base
-//                    rate, triangular diurnal modulation, flash-crowd
-//                    windows. Strictly a function of (spec, seed) — no
-//                    wall clock, no global RNG — implemented by thinning
-//                    against the peak-rate envelope, so every modulation
-//                    compounds without approximation error in the
-//                    acceptance test.
+//   ArrivalProcess   pure arrival-time math: a Poisson or 2-state MMPP
+//                    rate. Strictly a function of (spec, seed) — no wall
+//                    clock, no global RNG — implemented by thinning
+//                    against the peak-rate envelope, so the MMPP state
+//                    modulates the rate without approximation error in
+//                    the acceptance test.
 //   run_open_loop    builds a Simulation + Cluster (with an explicit
 //                    net::Topology) and drives one generator process per
 //                    node. Clients are bookkeeping rows on a per-node
@@ -45,14 +44,6 @@ namespace sv::harness {
 
 enum class ArrivalKind { kPoisson, kMmpp };
 
-/// A flash crowd: the arrival rate multiplies by `multiplier` inside
-/// [at, at + duration). Windows may overlap; multipliers compound.
-struct FlashCrowd {
-  SimTime at{};
-  SimTime duration{};
-  int multiplier = 4;
-};
-
 /// One node-population's aggregate arrival law.
 struct ArrivalSpec {
   ArrivalKind kind = ArrivalKind::kPoisson;
@@ -66,16 +57,8 @@ struct ArrivalSpec {
   SimTime mmpp_sojourn_low = SimTime::milliseconds(20);
   SimTime mmpp_sojourn_high = SimTime::milliseconds(5);
 
-  /// Diurnal modulation: a triangular wave of this period scales the rate
-  /// across [1 - amplitude, 1 + amplitude] (integer-exact phase math; a
-  /// sinusoid would drag libm rounding into the digest). Period 0 = off.
-  SimTime diurnal_period{};
-  double diurnal_amplitude = 0.0;
-
-  std::vector<FlashCrowd> flash_crowds;
-
   /// The thinning envelope: an upper bound on the instantaneous rate
-  /// (state max x diurnal max x all flash multipliers compounded).
+  /// (the larger MMPP state's rate).
   [[nodiscard]] double peak_rate_per_sec() const;
   [[nodiscard]] double high_rate_per_sec() const {
     return mmpp_high_per_sec > 0.0 ? mmpp_high_per_sec : 4.0 * rate_per_sec;
@@ -83,7 +66,7 @@ struct ArrivalSpec {
 };
 
 /// Deterministic arrival-time stream. next() yields strictly increasing
-/// absolute times whose local rate follows the spec's modulated law.
+/// absolute times whose local rate follows the spec's law.
 class ArrivalProcess {
  public:
   ArrivalProcess(const ArrivalSpec& spec, std::uint64_t seed);
@@ -93,8 +76,8 @@ class ArrivalProcess {
   /// probability rate_at(t) / peak. Never returns the same time twice.
   [[nodiscard]] SimTime next();
 
-  /// Instantaneous modulated rate at `t` (advances the MMPP state
-  /// trajectory, so calls must use non-decreasing t).
+  /// Instantaneous rate at `t` (advances the MMPP state trajectory, so
+  /// calls must use non-decreasing t).
   [[nodiscard]] double rate_at(SimTime t);
 
  private:

@@ -28,7 +28,6 @@
 // outlive message flow.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -65,8 +64,6 @@ struct Message {
   /// is what the pin-down RegCache keys on. 0 (default) means "anonymous
   /// one-shot buffer" — never a cache hit against another message.
   std::uint64_t buffer = 0;
-  /// Optional application metadata (e.g. a DataCutter buffer descriptor).
-  std::any meta{};
 };
 
 class Pipe {

@@ -9,7 +9,7 @@ namespace {
 
 // Aggregate size caps: a batch closes at whichever limit hits first.
 constexpr std::uint64_t kAggregateMaxBytes = 64 * 1024;
-constexpr std::size_t kAggregateMaxMsgs = 64;
+constexpr std::uint64_t kAggregateMaxMsgs = 64;
 static_assert(kAggregateMaxBytes > 0 && kAggregateMaxMsgs > 0,
               "SendMux: aggregate caps must be positive");
 
@@ -39,10 +39,6 @@ SendMux::State::State(sim::Simulation* sim_in, net::Cluster* cluster_in,
   c_delivered = &reg.counter("mux.delivered" + nl);
   c_flushed = &reg.counter("mux.flushed" + nl);
   g_queued_bytes = &reg.gauge("mux.queued_bytes" + nl);
-  if (cfg.copy_policy.kind != mem::CopyPolicyKind::kStaticPool) {
-    policy = std::make_unique<mem::CopyPolicy>(&sim->obs(), node,
-                                               cfg.copy_policy);
-  }
 }
 
 SendMux::SendMux(sim::Simulation* sim, net::Cluster* cluster, int node,
@@ -95,28 +91,16 @@ std::uint64_t SendMux::open_connection(int dst_node) {
 }
 
 bool SendMux::submit(std::uint64_t conn, std::uint64_t bytes) {
-  return submit(conn, bytes, /*buffer=*/0, mem::Payload{});
-}
-
-bool SendMux::submit(std::uint64_t conn, std::uint64_t bytes,
-                     std::uint64_t buffer, mem::Payload payload) {
   State& st = *st_;
   if (st.stopping) return false;
   auto it = st.conn_dst.find(conn);
   SV_ASSERT(it != st.conn_dst.end(), "SendMux::submit on a closed conn");
   Lane& l = st.lanes.at(it->second);
   if (l.queued_bytes + bytes > st.cfg.queue_cap_bytes) {
-    // `payload` dies here: the drop releases its pooled chunk immediately.
     st.c_drops->inc();
     return false;
   }
-  MuxRecord r;
-  r.conn = conn;
-  r.bytes = bytes;
-  r.enqueued = st.sim->now();
-  r.buffer = buffer;
-  r.payload = std::move(payload);
-  l.q.push_back(std::move(r));
+  l.q.push_back(MuxRecord{conn, bytes, st.sim->now()});
   l.queued_bytes += bytes;
   st.g_queued_bytes->add(static_cast<std::int64_t>(bytes));
   st.c_submitted->inc();
@@ -136,21 +120,16 @@ std::uint64_t SendMux::flush_lane(int dst_node) {
   if (it == st.lanes.end()) return 0;
   Lane& l = it->second;
   const std::uint64_t flushed = l.q.size();
-  // Destroying the records releases any pooled payload chunks. The lane's
-  // interest entry (if armed) stays in the sender's deque; the sender pops
-  // it, finds the queue empty, and disarms — the protocol already handles
-  // an empty drain.
+  // Only queued records go; `in_flight` keeps the records of aggregates
+  // already on the pipe, which still deliver. The lane's interest entry
+  // (if armed) stays in the sender's FIFO; the sender pops it, finds the
+  // queue empty, and disarms — the protocol already handles an empty
+  // drain.
+  while (!l.q.empty()) l.q.pop_front();
   st.g_queued_bytes->add(-static_cast<std::int64_t>(l.queued_bytes));
-  l.q.clear();
   l.queued_bytes = 0;
   st.c_flushed->inc(flushed);
   return flushed;
-}
-
-std::uint64_t SendMux::flush_registrations() {
-  State& st = *st_;
-  if (st.policy == nullptr || st.policy->cache() == nullptr) return 0;
-  return st.policy->cache()->flush(st.sim->now());
 }
 
 void SendMux::shutdown() {
@@ -178,30 +157,21 @@ void SendMux::State::sender_loop() {
     Lane& l = lanes.at(dst);
 
     // Drain up to the aggregate caps into one fabric message. The first
-    // record always fits (a lone oversized record must still ship).
-    auto recs = std::make_shared<std::vector<MuxRecord>>();
+    // record always fits (a lone oversized record must still ship). The
+    // records wait in `in_flight` for the sink; the message carries only
+    // their total size and their number.
+    std::uint64_t records = 0;
     std::uint64_t total = 0;
-    SimTime policy_cost = SimTime::zero();
-    // (buffer, bytes) pins owed a release once the aggregate has shipped.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> pinned;
-    while (!l.q.empty() && recs->size() < kAggregateMaxMsgs) {
-      const std::uint64_t need = kHeaderBytes + l.q.front().bytes;
-      if (!recs->empty() && total + need > kAggregateMaxBytes) break;
-      MuxRecord r = std::move(l.q.front());
-      l.q.pop_front();
+    while (!l.q.empty() && records < kAggregateMaxMsgs) {
+      const MuxRecord& r = l.q.front();
+      const std::uint64_t need = kHeaderBytes + r.bytes;
+      if (records > 0 && total + need > kAggregateMaxBytes) break;
       l.queued_bytes -= r.bytes;
       g_queued_bytes->add(-static_cast<std::int64_t>(r.bytes));
       total += need;
-      if (policy != nullptr) {
-        // Per-record consult (DESIGN.md §14): staging this record into the
-        // aggregate costs whatever the policy decides — a bounce copy, a
-        // pin, or a cache lookup.
-        const mem::CopyVerdict v =
-            policy->acquire(sim->now(), r.buffer, r.bytes);
-        policy_cost = policy_cost + v.cpu_cost;
-        if (v.needs_release) pinned.emplace_back(r.buffer, r.bytes);
-      }
-      recs->push_back(std::move(r));
+      ++records;
+      l.in_flight.push_back(r);
+      l.q.pop_front();
     }
     // Re-arm at the tail while the lane still has work: round-robin
     // fairness across destinations, FIFO within a lane.
@@ -210,27 +180,16 @@ void SendMux::State::sender_loop() {
     } else {
       l.interested = false;
     }
-    if (recs->empty()) continue;
-
-    if (policy_cost > SimTime::zero()) sim->delay(policy_cost);
+    if (records == 0) continue;
 
     net::Message m;
     m.bytes = total;
-    m.tag = recs->front().conn;
-    m.meta = recs;
+    m.tag = records;
     c_batches->inc();
-    c_batch_records->inc(recs->size());
+    c_batch_records->inc(records);
     // Blocking send: fabric flow control (and, behind it, topology uplink
     // queueing) backpressures the whole mux, not a per-connection thread.
     l.pipe->send(std::move(m));
-
-    // Register-on-the-fly pins unpin only after the aggregate is on the
-    // wire; the unpin time bills to this sender process.
-    SimTime unpin_cost = SimTime::zero();
-    for (const auto& [buf, bytes] : pinned) {
-      unpin_cost = unpin_cost + policy->release(sim->now(), buf, bytes);
-    }
-    if (unpin_cost > SimTime::zero()) sim->delay(unpin_cost);
   }
   for (auto& [dst, l] : lanes) {
     if (l.pipe) l.pipe->close();
@@ -238,11 +197,13 @@ void SendMux::State::sender_loop() {
 }
 
 void SendMux::State::sink_loop(int dst) {
-  net::Pipe* pipe = lanes.at(dst).pipe.get();
-  while (auto m = pipe->recv()) {
-    auto recs =
-        std::any_cast<std::shared_ptr<std::vector<MuxRecord>>>(m->meta);
-    for (const MuxRecord& r : *recs) {
+  Lane& l = lanes.at(dst);
+  while (auto m = l.pipe->recv()) {
+    // The pipe is in order, so this aggregate's records are the oldest
+    // `tag` records in flight.
+    for (std::uint64_t i = 0; i < m->tag; ++i) {
+      const MuxRecord r = l.in_flight.front();
+      l.in_flight.pop_front();
       c_delivered->inc();
       if (on_delivery) on_delivery(dst, r, sim->now());
     }

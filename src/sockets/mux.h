@@ -17,15 +17,24 @@
 //                        header included), and blocks in
 //                        Pipe::send — so fabric backpressure throttles
 //                        the mux without a thread per connection.
-//   sink process (1/pipe) receives aggregates at the destination, splits
-//                        them, and hands each record to the delivery
+//   sink process (1/pipe) receives aggregates at the destination and
+//                        hands each of their records to the delivery
 //                        callback with its end-to-end enqueue→delivery
 //                        latency observable.
 //
-// The interest-set protocol (a deque of destination ids plus a per-lane
+// The records themselves never cross the pipe. The sender moves each
+// drained record into its lane's in-flight FIFO and sends only the
+// aggregate's size and record count (in `Message::tag`); the pipe is
+// reliable and in order, so the sink pops that many records off the
+// front. A record is delivered exactly once, in submit order per lane.
+//
+// The interest-set protocol (a FIFO of destination ids plus a per-lane
 // "interested" flag) makes scheduling deterministic: destinations are
 // served in the order they became ready, and a lane re-arms itself at the
 // tail only while it still holds queued records.
+//
+// Once warmed up, submitting, draining and delivering allocate nothing
+// (DESIGN.md §12): every queue is a sim::RingFifo.
 //
 // Threading: process count is O(destinations), not O(connections) — the
 // scaling property the open-loop harness (src/harness/openloop.h) relies
@@ -33,18 +42,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "mem/copy_policy.h"
-#include "mem/payload.h"
 #include "net/calibration.h"
 #include "net/cluster.h"
 #include "net/fabric.h"
+#include "sim/ring_fifo.h"
 #include "sim/sync.h"
 
 namespace sv::sockets {
@@ -54,12 +60,6 @@ struct MuxRecord {
   std::uint64_t conn = 0;   ///< logical connection id (SendMux-assigned)
   std::uint64_t bytes = 0;  ///< application payload size
   SimTime enqueued{};       ///< when submit() queued it at the sender
-  /// Buffer-region id for the selective-copy policy (0 = anonymous).
-  std::uint64_t buffer = 0;
-  /// Optional pooled payload. Refcounted: when the record is dropped at a
-  /// full lane (or delivered and discarded), the last reference releases
-  /// the chunk back to its BufferPool — `mem.pool_reuse` must reconcile.
-  mem::Payload payload{};
 };
 
 struct SendMuxConfig {
@@ -67,10 +67,6 @@ struct SendMuxConfig {
   /// Per-destination send-queue bound; submit() beyond it drops (the
   /// open-loop analogue of a full kernel socket buffer).
   std::uint64_t queue_cap_bytes = 4 * 1024 * 1024;
-  /// Selective-copy policy consulted per drained record in the sender
-  /// process (DESIGN.md §14). kStaticPool (default) = no consult, no
-  /// engine, digests unchanged.
-  mem::CopyPolicyConfig copy_policy{};
 };
 
 class SendMux {
@@ -101,31 +97,16 @@ class SendMux {
   /// test.
   bool submit(std::uint64_t conn, std::uint64_t bytes);
 
-  /// As above, carrying a pooled payload and its buffer-region id for the
-  /// copy policy. A dropped record destroys its payload immediately, which
-  /// returns the chunk to its BufferPool (the refcount contract the
-  /// overflow tests pin down).
-  bool submit(std::uint64_t conn, std::uint64_t bytes, std::uint64_t buffer,
-              mem::Payload payload);
-
   /// Closes a logical connection; records already queued still deliver.
   void close_connection(std::uint64_t conn);
 
   /// Drops every record still queued on the lane to `dst_node`, returning
-  /// how many were discarded (counted under `mux.flushed`). Dropped
-  /// payloads release their pooled chunks immediately. Used by the SLO
-  /// control plane when `dst_node` is demoted: stale queued updates to a
-  /// degraded replica would only arrive late, so they are shed rather
+  /// how many were discarded (counted under `mux.flushed`). Used by the
+  /// SLO control plane when `dst_node` is demoted: stale queued updates to
+  /// a degraded replica would only arrive late, so they are shed rather
   /// than delivered. Records already drained into an in-flight aggregate
   /// still deliver. No-op for lanes that were never opened.
   std::uint64_t flush_lane(int dst_node);
-
-  /// Flushes this node's registration cache (DESIGN.md §14), charging the
-  /// deregistrations, and returns the bytes unpinned. Demoting a node
-  /// must release its pinned memory — a degraded replica holding
-  /// pin-down cache entries would defeat the point of shifting load off
-  /// it. Returns 0 when no RegCache policy is configured.
-  std::uint64_t flush_registrations();
 
   /// Stops intake; the sender process drains every lane, closes the pipes
   /// (sinks exit after the last delivery), then exits. Idempotent.
@@ -138,11 +119,13 @@ class SendMux {
   [[nodiscard]] std::uint64_t drops() const;
 
  private:
-  /// Per-destination lane: the shared pipe, its FIFO of pending records,
-  /// and the interest flag for the sender's round-robin.
+  /// Per-destination lane: the shared pipe, its FIFO of queued records,
+  /// the records of the aggregates on the pipe (oldest first), and the
+  /// interest flag for the sender's round-robin.
   struct Lane {
     std::unique_ptr<net::Pipe> pipe;
-    std::deque<MuxRecord> q;
+    sim::RingFifo<MuxRecord> q;
+    sim::RingFifo<MuxRecord> in_flight;
     std::uint64_t queued_bytes = 0;
     bool interested = false;
   };
@@ -166,15 +149,13 @@ class SendMux {
     std::string name;
 
     std::map<int, Lane> lanes;
-    std::deque<int> interest;
+    sim::RingFifo<int> interest;
     sim::WaitQueue work_waiters;
     bool stopping = false;
 
     std::uint64_t next_conn = 0;
     /// conn id -> destination node; erased on close_connection.
     std::map<std::uint64_t, int> conn_dst;
-    /// Per-record copy-policy engine (null under the static-pool default).
-    std::unique_ptr<mem::CopyPolicy> policy;
 
     obs::Counter* c_submitted;
     obs::Counter* c_submitted_bytes;

@@ -1,7 +1,7 @@
 // Statistical and reproducibility tests for the open-loop workload
 // generator (harness/openloop.h): Poisson/MMPP rates match configuration
-// within tolerance across many seeds, modulation schedules derive from
-// (seed, config) alone, and full runs are bit-deterministic.
+// within tolerance across many seeds, schedules derive from (seed, config)
+// alone, and full runs are bit-deterministic.
 #include "harness/openloop.h"
 
 #include <gtest/gtest.h>
@@ -56,10 +56,6 @@ TEST(ArrivalProcess, SameSeedSameScheduleDifferentSeedDiffers) {
   ArrivalSpec spec;
   spec.kind = ArrivalKind::kMmpp;
   spec.rate_per_sec = 5'000.0;
-  spec.diurnal_period = SimTime::milliseconds(50);
-  spec.diurnal_amplitude = 0.5;
-  spec.flash_crowds.push_back(
-      {SimTime::milliseconds(30), SimTime::milliseconds(10), 4});
 
   std::vector<std::int64_t> a;
   std::vector<std::int64_t> b;
@@ -88,52 +84,11 @@ TEST(ArrivalProcess, ArrivalTimesStrictlyIncrease) {
   }
 }
 
-TEST(ArrivalProcess, FlashCrowdMultipliesRateInsideWindowOnly) {
-  ArrivalSpec spec;
-  spec.rate_per_sec = 5'000.0;
-  spec.flash_crowds.push_back(
-      {SimTime::milliseconds(500), SimTime::milliseconds(500), 5});
-  double in_window = 0;
-  double outside = 0;
-  for (std::uint64_t seed = 21; seed <= 28; ++seed) {
-    ArrivalProcess ap(spec, seed);
-    for (SimTime t = ap.next(); t <= SimTime::seconds(2); t = ap.next()) {
-      const bool flash = t >= SimTime::milliseconds(500) &&
-                         t < SimTime::milliseconds(1000);
-      (flash ? in_window : outside) += 1.0;
-    }
-  }
-  // 0.5 s of x5 rate vs 1.5 s of base rate: per-second ratio ~5.
-  const double ratio = (in_window / 0.5) / (outside / 1.5);
-  EXPECT_NEAR(ratio, 5.0, 1.0);
-}
-
-TEST(ArrivalProcess, DiurnalTriangleShapesInstantaneousRate) {
-  ArrivalSpec spec;
-  spec.rate_per_sec = 1'000.0;
-  spec.diurnal_period = SimTime::milliseconds(100);
-  spec.diurnal_amplitude = 0.8;
-  // rate_at is pure for Poisson (no MMPP state), so probe it directly.
-  ArrivalProcess ap(spec, 1);
-  EXPECT_NEAR(ap.rate_at(SimTime::zero()), 200.0, 1e-6);
-  EXPECT_NEAR(ap.rate_at(SimTime::milliseconds(25)), 1'000.0, 1e-6);
-  EXPECT_NEAR(ap.rate_at(SimTime::milliseconds(50)), 1'800.0, 1e-6);
-  EXPECT_NEAR(ap.rate_at(SimTime::milliseconds(75)), 1'000.0, 1e-6);
-  // Periodicity.
-  EXPECT_NEAR(ap.rate_at(SimTime::milliseconds(150)), 1'800.0, 1e-6);
-}
-
 TEST(ArrivalSpec, PeakEnvelopeBoundsEveryModulation) {
   ArrivalSpec spec;
   spec.kind = ArrivalKind::kMmpp;
   spec.rate_per_sec = 1'000.0;
   spec.mmpp_high_per_sec = 6'000.0;
-  spec.diurnal_period = SimTime::milliseconds(40);
-  spec.diurnal_amplitude = 0.5;
-  spec.flash_crowds.push_back(
-      {SimTime::milliseconds(10), SimTime::milliseconds(10), 3});
-  spec.flash_crowds.push_back(
-      {SimTime::milliseconds(15), SimTime::milliseconds(10), 2});
   const double peak = spec.peak_rate_per_sec();
   ArrivalProcess ap(spec, 5);
   for (int ms = 0; ms < 200; ++ms) {

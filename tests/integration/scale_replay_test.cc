@@ -15,10 +15,9 @@
 namespace sv::harness {
 namespace {
 
-/// The 128-node workload: k=8 fat-tree at exactly full fill, MMPP arrivals
-/// with a flash crowd, lossy jittery links, one mid-run node slowdown,
-/// connection churn, and mild incast. Everything that could perturb the
-/// schedule is on at once.
+/// The 128-node workload: k=8 fat-tree at exactly full fill, MMPP arrivals,
+/// lossy jittery links, one mid-run node slowdown, connection churn, and
+/// mild incast. Everything that could perturb the schedule is on at once.
 OpenLoopConfig scale_cfg_128(net::Transport tr) {
   OpenLoopConfig cfg;
   cfg.transport = tr;
@@ -28,10 +27,6 @@ OpenLoopConfig scale_cfg_128(net::Transport tr) {
   cfg.clients = 128'000;
   cfg.arrivals.kind = ArrivalKind::kMmpp;
   cfg.arrivals.rate_per_sec = 1'500.0;
-  cfg.arrivals.diurnal_period = SimTime::milliseconds(20);
-  cfg.arrivals.diurnal_amplitude = 0.4;
-  cfg.arrivals.flash_crowds.push_back(
-      {SimTime::milliseconds(10), SimTime::milliseconds(5), 3});
   cfg.update_bytes = 2048;
   cfg.fanout = 4;
   cfg.incast_fraction = 0.1;

@@ -7,8 +7,11 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <optional>
 
+#include "datacutter/runtime.h"
 #include "net/cluster.h"
 #include "net/fabric.h"
 #include "net/fault.h"
@@ -18,6 +21,7 @@
 #include "sim/simulation.h"
 #include "sim/sync.h"
 #include "sockets/factory.h"
+#include "sockets/mux.h"
 
 namespace {
 std::uint64_t allocations = 0;
@@ -244,6 +248,93 @@ TEST(AllocFreeTest, FastKernelTcpSocketMessage) {
   EXPECT_EQ(s.obs().registry.counter_value("mem.copies"),
             2u * (kWarmup + kMsgs));
   EXPECT_EQ(w.count(), 0u) << w.per_op(kMsgs) << " allocations per message";
+}
+
+TEST(AllocFreeTest, SendMuxAggregateRoundTrip) {
+  // One op queues 8 x 512 B on each of two lanes, which the sender ships
+  // as one aggregate per lane, and gives both 100 us to land.
+  sim::Simulation s;
+  net::Cluster cluster(&s, 3);
+  std::uint64_t delivered = 0;
+  sockets::SendMux mux(
+      &s, &cluster, /*node=*/0, sockets::SendMuxConfig{},
+      [&](int, const sockets::MuxRecord&, SimTime) { ++delivered; });
+  const std::uint64_t lanes[] = {mux.open_connection(1),
+                                 mux.open_connection(2)};
+  int rejected = 0;
+  Window w;
+  s.spawn("app", [&] {
+    for (int i = 0; i < kWarmup + kOps; ++i) {
+      w.before(i);
+      for (const std::uint64_t conn : lanes) {
+        for (int r = 0; r < 8; ++r) {
+          if (!mux.submit(conn, 512)) ++rejected;
+        }
+      }
+      s.delay(100_us);
+    }
+    w.close();
+    mux.shutdown();
+  });
+  s.run();
+  EXPECT_EQ(rejected, 0);
+  EXPECT_EQ(delivered, 16u * (kWarmup + kOps));
+  EXPECT_EQ(w.count(), 0u) << w.per_op() << " allocations per op";
+}
+
+TEST(AllocFreeTest, DataCutterBufferHop) {
+  // A source streams 4 KiB buffers round-robin to a sink over fast
+  // SocketVIA; one op is one buffer the sink reads. The source writes 100
+  // buffers more than the window measures, so it is still blocked in
+  // write() when the window closes.
+  constexpr int kBuffers = kWarmup + kOps + 100;
+  struct Source final : dc::Filter {
+    void process(dc::FilterContext& ctx) override {
+      for (int i = 0; i < kBuffers; ++i) {
+        ctx.write(dc::DataBuffer{.bytes = 4_KiB,
+                                 .tag = static_cast<std::uint64_t>(i)});
+      }
+    }
+  };
+  struct Sink final : dc::Filter {
+    Sink(Window* w_in, int* misordered_in, int* received_in)
+        : w(w_in), misordered(misordered_in), received(received_in) {}
+    void process(dc::FilterContext& ctx) override {
+      for (int i = 0;; ++i) {
+        w->before(i);
+        if (i == kWarmup + kOps) w->close();
+        const std::optional<dc::DataBuffer> b = ctx.read();
+        if (!b) return;
+        ++*received;
+        if (b->tag != static_cast<std::uint64_t>(i)) ++*misordered;
+      }
+    }
+    Window* w;
+    int* misordered;
+    int* received;
+  };
+  sim::Simulation s;
+  net::Cluster cluster(&s, 2);
+  sockets::SocketFactory factory(&s, &cluster);
+  Window w;
+  int misordered = 0;
+  int received = 0;
+  dc::FilterGroup g;
+  g.add_filter("src", [] { return std::make_unique<Source>(); }, {0});
+  g.add_filter(
+      "sink",
+      [&] { return std::make_unique<Sink>(&w, &misordered, &received); },
+      {1});
+  g.add_stream("src", "sink", dc::SchedPolicy::kRoundRobin);
+  dc::Runtime rt(&s, &cluster, &factory, std::move(g));
+  rt.start();
+  rt.submit(dc::Uow{.id = 1});
+  rt.close_input();
+  s.run();
+  ASSERT_TRUE(w.closed());
+  EXPECT_EQ(received, kBuffers);
+  EXPECT_EQ(misordered, 0);
+  EXPECT_EQ(w.count(), 0u) << w.per_op() << " allocations per buffer";
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
 // Demotion-path mux contracts (DESIGN.md §15): flush_lane sheds a
-// degraded destination's queued records (releasing pooled payload chunks
-// immediately, counted under mux.flushed, never as drops), and
-// flush_registrations empties the node's pin-down cache so the
-// registration ledger reconciles to zero pinned bytes.
+// degraded destination's queued records (counted under mux.flushed, never
+// as drops), while the records of aggregates already on the pipe still
+// deliver, each once and in submit order per lane.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <utility>
+#include <map>
+#include <vector>
 
-#include "mem/buffer_pool.h"
 #include "sockets/mux.h"
 
 namespace sv::sockets {
@@ -19,7 +18,6 @@ TEST(MuxFlushTest, FlushLaneShedsQueuedRecordsAndReleasesPayloads) {
   net::Cluster cluster(&s, 3);
   const std::uint64_t kBytes = 512;
 
-  mem::BufferPool pool(&s.obs(), {.label = "flush_test", .registered = false});
   std::uint64_t delivered = 0;
   SendMux mux(&s, &cluster, /*node=*/0, SendMuxConfig{},
               [&](int, const MuxRecord&, SimTime) { ++delivered; });
@@ -28,22 +26,17 @@ TEST(MuxFlushTest, FlushLaneShedsQueuedRecordsAndReleasesPayloads) {
 
   // 6 records queued to node 1 and 2 to node 2, all at t=0 — the sender
   // process has not drained anything yet.
-  for (int i = 0; i < 6; ++i) {
-    mem::PooledBuffer lease = pool.acquire(kBytes);
-    ASSERT_TRUE(
-        mux.submit(to1, kBytes, /*buffer=*/1, std::move(lease).seal()));
-  }
-  for (int i = 0; i < 2; ++i) {
-    mem::PooledBuffer lease = pool.acquire(kBytes);
-    ASSERT_TRUE(
-        mux.submit(to2, kBytes, /*buffer=*/2, std::move(lease).seal()));
-  }
-  EXPECT_EQ(pool.free_chunks(), 0u);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(mux.submit(to1, kBytes));
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(mux.submit(to2, kBytes));
+  const auto& reg = s.obs().registry;
+  const obs::Gauge* queued = reg.find_gauge("mux.queued_bytes{node=node0}");
+  ASSERT_NE(queued, nullptr);
+  EXPECT_EQ(queued->value(), static_cast<std::int64_t>(8 * kBytes));
 
-  // Demote node 1: its queued records are shed and their chunks come home
-  // immediately; the lane to node 2 is untouched.
+  // Demote node 1: its queued records are shed and their bytes leave the
+  // queue at once; the lane to node 2 is untouched.
   EXPECT_EQ(mux.flush_lane(1), 6u);
-  EXPECT_EQ(pool.free_chunks(), 6u);
+  EXPECT_EQ(queued->value(), static_cast<std::int64_t>(2 * kBytes));
   // Re-flushing an empty lane, or a lane that never existed, is a no-op.
   EXPECT_EQ(mux.flush_lane(1), 0u);
   EXPECT_EQ(mux.flush_lane(7), 0u);
@@ -51,76 +44,78 @@ TEST(MuxFlushTest, FlushLaneShedsQueuedRecordsAndReleasesPayloads) {
   mux.shutdown();
   s.run();
 
-  const auto& reg = s.obs().registry;
   EXPECT_EQ(delivered, 2u);
   EXPECT_EQ(reg.counter_value("mux.flushed{node=node0}"), 6u);
   // Shed is not dropped: overflow accounting stays clean.
   EXPECT_EQ(reg.counter_value("mux.drops{node=node0}"), 0u);
   EXPECT_EQ(reg.counter_value("mux.delivered{node=node0}"), 2u);
-  const obs::Gauge* queued = reg.find_gauge("mux.queued_bytes{node=node0}");
-  ASSERT_NE(queued, nullptr);
   EXPECT_EQ(queued->value(), 0);
-  EXPECT_EQ(pool.free_chunks(), 8u);
 }
 
-TEST(MuxFlushTest, FlushRegistrationsReconcilesThePinDownLedger) {
+TEST(MuxFlushTest, InFlightRecordsDeliverOnceInSubmitOrderAcrossAFlush) {
+  // 150 records to node 1 would make three aggregates (64 + 64 + 22, the
+  // record cap), 15 to node 2 make one. Node 1 is flushed while its first
+  // aggregate is on the pipe, then gets 70 more records (two aggregates).
+  // Each record's size is unique, so a delivery names the record it
+  // carries.
+  constexpr std::uint64_t kFirst = 150;
+  constexpr std::uint64_t kToNode2 = 15;
+  constexpr std::uint64_t kAfterFlush = 70;
+  struct Delivery {
+    MuxRecord rec;
+    SimTime at;
+  };
   sim::Simulation s;
-  net::Cluster cluster(&s, 2);
-  SendMuxConfig cfg;
-  cfg.copy_policy.kind = mem::CopyPolicyKind::kRegCache;
-  cfg.copy_policy.cache.capacity_regions = 8;
-
-  std::uint64_t delivered = 0;
-  SendMux mux(&s, &cluster, /*node=*/0, cfg,
-              [&](int, const MuxRecord&, SimTime) { ++delivered; });
-  const std::uint64_t conn = mux.open_connection(1);
-  // Three distinct hot regions, revisited: the drain pins each once.
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(mux.submit(conn, 2048,
-                           /*buffer=*/1 + static_cast<std::uint64_t>(i % 3),
-                           mem::Payload{}));
-  }
-  mux.shutdown();
-  s.run();
-  EXPECT_EQ(delivered, 6u);
-
-  const auto& reg = s.obs().registry;
-  const obs::Gauge* pinned =
-      reg.find_gauge("mem.regcache_pinned_bytes{cache=regcache}");
-  ASSERT_NE(pinned, nullptr);
-  const std::int64_t before = pinned->value();
-  EXPECT_GT(before, 0);
-  EXPECT_LT(reg.counter_value("mem.deregistrations"),
-            reg.counter_value("mem.registrations"));
-
-  // Three distinct regions fit capacity 8, so nothing evicted in-band.
-  EXPECT_EQ(reg.counter_value("mem.regcache_evictions{cache=regcache}"), 0u);
-
-  // Demotion flushes the cache: everything unpins (counted as evictions),
-  // charged to the ledger, and registrations reconcile exactly.
-  EXPECT_EQ(mux.flush_registrations(), static_cast<std::uint64_t>(before));
-  EXPECT_EQ(pinned->value(), 0);
-  EXPECT_EQ(reg.counter_value("mem.regcache_evictions{cache=regcache}"), 3u);
-  const obs::Gauge* resident =
-      reg.find_gauge("mem.regcache_resident{cache=regcache}");
-  ASSERT_NE(resident, nullptr);
-  EXPECT_EQ(resident->value(), 0);
-  EXPECT_EQ(reg.counter_value("mem.deregistrations"),
-            reg.counter_value("mem.registrations"));
-  EXPECT_EQ(reg.counter_value("mem.deregistered_bytes"),
-            reg.counter_value("mem.registered_bytes"));
-  // A second flush finds nothing pinned.
-  EXPECT_EQ(mux.flush_registrations(), 0u);
-}
-
-TEST(MuxFlushTest, FlushRegistrationsIsZeroWithoutACachePolicy) {
-  sim::Simulation s;
-  net::Cluster cluster(&s, 2);
+  net::Cluster cluster(&s, 3);
+  std::map<int, std::vector<Delivery>> got;
   SendMux mux(&s, &cluster, /*node=*/0, SendMuxConfig{},
-              [](int, const MuxRecord&, SimTime) {});
-  EXPECT_EQ(mux.flush_registrations(), 0u);
-  mux.shutdown();
+              [&](int dst, const MuxRecord& rec, SimTime at) {
+                got[dst].push_back({rec, at});
+              });
+  const std::uint64_t to1 = mux.open_connection(1);
+  const std::uint64_t to2 = mux.open_connection(2);
+  std::uint64_t shed = 0;
+  s.spawn("app", [&] {
+    for (std::uint64_t i = 0; i < kFirst; ++i) {
+      ASSERT_TRUE(mux.submit(to1, 100 + i));
+    }
+    for (std::uint64_t i = 0; i < kToNode2; ++i) {
+      ASSERT_TRUE(mux.submit(to2, 1000 + i));
+    }
+    // By now the sender has put node 1's first aggregate on the pipe and
+    // is still sending it: only the records still queued are shed.
+    s.delay(SimTime::microseconds(1));
+    shed = mux.flush_lane(1);
+    for (std::uint64_t i = 0; i < kAfterFlush; ++i) {
+      ASSERT_TRUE(mux.submit(to1, 2000 + i));
+    }
+    mux.shutdown();
+  });
   s.run();
+
+  // The first aggregate (64 records) delivers; the other 86 are shed.
+  EXPECT_EQ(shed, kFirst - 64);
+  EXPECT_EQ(s.obs().registry.counter_value("mux.flushed{node=node0}"), shed);
+  // Each lane delivers its records once, in submit order, no record
+  // before it was queued.
+  const auto check = [&](int dst, std::uint64_t conn,
+                         const std::vector<std::uint64_t>& want) {
+    std::vector<std::uint64_t> seen;
+    for (const Delivery& d : got[dst]) {
+      seen.push_back(d.rec.bytes);
+      EXPECT_EQ(d.rec.conn, conn);
+      EXPECT_LE(d.rec.enqueued, d.at);
+    }
+    EXPECT_EQ(seen, want) << "lane to node " << dst;
+  };
+  std::vector<std::uint64_t> want1;
+  for (std::uint64_t i = 0; i < kFirst - shed; ++i) want1.push_back(100 + i);
+  for (std::uint64_t i = 0; i < kAfterFlush; ++i) want1.push_back(2000 + i);
+  std::vector<std::uint64_t> want2;
+  for (std::uint64_t i = 0; i < kToNode2; ++i) want2.push_back(1000 + i);
+  EXPECT_EQ(got.size(), 2u);
+  check(1, to1, want1);
+  check(2, to2, want2);
 }
 
 }  // namespace
