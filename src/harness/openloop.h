@@ -15,13 +15,13 @@
 //                    modulates the rate without approximation error in
 //                    the acceptance test.
 //   run_open_loop    builds a Simulation + Cluster (with an explicit
-//                    net::Topology) and drives one generator process per
+//                    net::Topology) and drives one generator stage per
 //                    node. Clients are bookkeeping rows on a per-node
 //                    sockets::SendMux (thousands of logical connections,
-//                    O(nodes) processes), with optional incast redirection
-//                    onto a hot node and connection churn. Returns update
-//                    latency percentiles plus the engine digest, so
-//                    same-seed runs are provably bit-identical.
+//                    O(nodes) stages, no process), with optional incast
+//                    redirection onto a hot node and connection churn.
+//                    Returns update latency percentiles plus the engine
+//                    digest, so same-seed runs are provably bit-identical.
 //
 // Everything here derives from (config, seed): the statistical tests
 // (tests/harness/openloop_test.cc) re-run specs across seeds and check

@@ -111,8 +111,6 @@ class CopyPolicy {
 
   [[nodiscard]] const CopyPolicyConfig& config() const { return config_; }
   [[nodiscard]] CopyPolicyKind kind() const { return config_.kind; }
-  /// Underlying cache (null unless kind == kRegCache; test hook).
-  [[nodiscard]] RegCache* cache() { return cache_.get(); }
 
  private:
   [[nodiscard]] SimTime scaled(SimTime t) const;

@@ -65,13 +65,6 @@ RegCache::Lookup RegCache::lookup(SimTime now, std::uint64_t buffer_id,
   return out;
 }
 
-std::uint64_t RegCache::flush(SimTime now) {
-  Lookup scratch;
-  while (!lru_.empty()) evict_lru(now, &scratch);
-  update_gauges();
-  return scratch.evicted_bytes;
-}
-
 std::vector<std::uint64_t> RegCache::mru_order() const {
   std::vector<std::uint64_t> ids;
   ids.reserve(lru_.size());

@@ -63,9 +63,6 @@ class RegCache {
   /// caller's to charge — see CopyPolicy.
   Lookup lookup(SimTime now, std::uint64_t buffer_id, std::uint64_t bytes);
 
-  /// Evicts everything, charging deregistrations. Returns bytes unpinned.
-  std::uint64_t flush(SimTime now);
-
   [[nodiscard]] bool contains(std::uint64_t buffer_id) const {
     return index_.count(buffer_id) != 0;
   }

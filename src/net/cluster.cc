@@ -8,6 +8,16 @@ namespace {
 // Cores per node: the Dell Precision 420s were dual 1 GHz PIII.
 constexpr int kCoresPerNode = 2;
 
+/// Holds every unit of `res` for the stall window `nf`.
+sim::Stage hold_stalled(sim::Simulation* sim, NodeFault nf,
+                        sim::Resource* res) {
+  if (nf.start > sim->now()) co_await sim->sleep(nf.start - sim->now());
+  const std::int64_t units = res->capacity();
+  for (std::int64_t k = 0; k < units; ++k) co_await res->acquire_stage();
+  co_await sim->sleep(nf.duration);
+  for (std::int64_t k = 0; k < units; ++k) res->release();
+}
+
 }  // namespace
 
 Node::Node(sim::Simulation* sim, int id, const NodeConfig& cfg)
@@ -57,20 +67,13 @@ void Cluster::install_faults(const FaultPlan& plan, std::uint64_t seed) {
                   static_cast<std::size_t>(nf.node) < nodes_.size(),
               "FaultPlan stall window names an unknown node");
     Node& node = *nodes_[static_cast<std::size_t>(nf.node)];
-    // One holder process per resource: each grabs every capacity unit for
+    // One holder stage per resource: each grabs every capacity unit for
     // the window, so compute, sends, inbound DMA and protocol processing
     // all stall — exactly what a hung host looks like to its peers.
     sim::Resource* resources[] = {&node.cpu(), &node.tx_host(),
                                   &node.link_in(), &node.rx_proto()};
     for (sim::Resource* res : resources) {
-      sim_->spawn(
-          node.name() + ".stall", [sim = sim_, nf, res] {
-            if (nf.start > sim->now()) sim->delay(nf.start - sim->now());
-            const std::int64_t units = res->capacity();
-            for (std::int64_t k = 0; k < units; ++k) res->acquire();
-            sim->delay(nf.duration);
-            for (std::int64_t k = 0; k < units; ++k) res->release();
-          });
+      sim_->start(hold_stalled(sim_, nf, res));
     }
   }
 }

@@ -90,8 +90,8 @@ class Cluster {
   [[nodiscard]] sim::Simulation& sim() { return *sim_; }
 
   /// Installs a fault plan: every node gets a pointer to the (seeded)
-  /// injector, and each full-stall window in the plan spawns holder
-  /// processes that pin the node's resources for the window's duration, so
+  /// injector, and each full-stall window in the plan starts holder
+  /// stages that pin the node's resources for the window's duration, so
   /// all transports through the node stall naturally. A disabled plan is a
   /// no-op (the baseline event schedule is untouched). Call at most once,
   /// before traffic starts.

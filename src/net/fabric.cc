@@ -91,6 +91,10 @@ void Pipe::send(Message m) {
 }
 
 Result<void> Pipe::send_for(Message m, SimTime timeout) {
+  return send_task(std::move(m), timeout).run_in_place();
+}
+
+sim::Task<Result<void>> Pipe::send_task(Message m, SimTime timeout) {
   State& st = *st_;
   if (st.closed) {
     throw std::logic_error("Pipe[" + st.name + "]::send after close");
@@ -101,6 +105,7 @@ Result<void> Pipe::send_for(Message m, SimTime timeout) {
   st.c_msgs_sent->inc();
   st.c_bytes_sent->inc(m.bytes);
 
+  sim::Resource& tx_host = st.src->tx_host();
   const std::uint64_t frame_cap =
       std::max<std::uint64_t>(1, st.profile.pipeline_frame_bytes);
   std::uint64_t remaining = m.bytes;
@@ -116,10 +121,11 @@ Result<void> Pipe::send_for(Message m, SimTime timeout) {
              st.in_flight_bytes + flen > st.profile.window_bytes;
     };
     while (window_closed()) {
-      if (!st.window_waiters.wait_until(deadline) && window_closed()) {
-        return Error::timeout("Pipe[" + st.name +
-                              "]: send timed out with the flow-control "
-                              "window closed (receiver stalled?)");
+      if (!co_await st.window_waiters.wait_until_stage(deadline) &&
+          window_closed()) {
+        co_return Error::timeout("Pipe[" + st.name +
+                                 "]: send timed out with the flow-control "
+                                 "window closed (receiver stalled?)");
       }
     }
     st.in_flight_bytes += flen;
@@ -132,12 +138,14 @@ Result<void> Pipe::send_for(Message m, SimTime timeout) {
     f.last = last;
     if (last) f.msg = std::move(m);
     // Sender-host stage, serialized with other sends from this node.
-    st.src->tx_host().use(st.sender_frame_time(f));
+    co_await tx_host.acquire_stage();
+    co_await st.sim->sleep(st.sender_frame_time(f));
+    tx_host.release();
     st.to_wire.send(std::move(f));
     if (last) break;
     first = false;
   }
-  return Result<void>::success();
+  co_return Result<void>::success();
 }
 
 void Pipe::close() {
@@ -153,6 +161,14 @@ std::optional<Message> Pipe::recv() { return st_->delivered.recv(); }
 
 Result<std::optional<Message>> Pipe::recv_for(SimTime timeout) {
   return st_->delivered.recv_for(timeout);
+}
+
+sim::WaitQueue::Wait Pipe::readable() { return st_->delivered.readable(); }
+
+std::optional<Message> Pipe::try_recv() { return st_->delivered.try_recv(); }
+
+bool Pipe::drained() const {
+  return st_->delivered.empty() && st_->delivered.closed();
 }
 
 const CostModel& Pipe::model() const { return st_->model; }

@@ -4,9 +4,9 @@
 // by a CalibrationProfile. Each message is split into pipeline frames that
 // cross three stages:
 //
-//   sending process --(window)--> [tx_host] --> wire stage [fabric hops,
-//        link_in @ dst] --propagation event--> proto stage [rx_proto @ dst]
-//        --> receive queue
+//   sender (process or stage) --(window)--> [tx_host] --> wire stage
+//        [fabric hops, link_in @ dst] --propagation event--> proto stage
+//        [rx_proto @ dst] --> receive queue
 //
 // The wire and protocol stages are sim::Stage coroutines (sim/stage.h), not
 // processes: a pipe owns no fiber stack, and a stage hop costs a coroutine
@@ -18,9 +18,10 @@
 // concurrent connections contend realistically (the mechanism behind the
 // paper's application-level results). Flow control returns window credit
 // when the receiver-side protocol stage finishes a frame, modeling the TCP
-// advertised window / SocketVIA credit scheme. Sending has one body,
-// send_for(), whose window wait takes a deadline; send() is send_for()
-// with no deadline.
+// advertised window / SocketVIA credit scheme. Sending has one body, the
+// sim::Task send_task(), whose window wait takes a deadline: a stage
+// co_awaits it, send_for() runs it in place in a process, and send() is
+// send_for() with no deadline.
 //
 // Lifetime: the stage frames co-own the pipe state, so a Pipe handle may be
 // destroyed at any simulated time; in-flight work finishes against the
@@ -40,6 +41,7 @@
 #include "net/cost_model.h"
 #include "sim/ring_fifo.h"
 #include "sim/sync.h"
+#include "sim/task.h"
 
 namespace sv::net {
 
@@ -83,18 +85,29 @@ class Pipe {
   /// paper's applications use).
   void send(Message m);
 
-  /// The one send body: like send(), but the wait on the flow-control
-  /// window gives up after `timeout` (<= 0 = wait forever; send() is
-  /// send_for with no deadline) with ErrorCode::kTimeout. Frames already
-  /// admitted stay in flight, so a timed-out pipe must be treated as
-  /// failed by the caller.
+  /// Like send(), but the wait on the flow-control window gives up after
+  /// `timeout` (<= 0 = wait forever; send() is send_for with no deadline)
+  /// with ErrorCode::kTimeout. Frames already admitted stay in flight, so
+  /// a timed-out pipe must be treated as failed by the caller. Runs
+  /// send_task() in place.
   [[nodiscard]] Result<void> send_for(Message m, SimTime timeout);
+  /// The one send body, as a task (sim/task.h): a stage `co_await`s it and
+  /// gets send_for()'s result, with the same events. The pipe must outlive
+  /// the task.
+  sim::Task<Result<void>> send_task(Message m, SimTime timeout);
 
   /// Blocking receive; nullopt after close() once drained.
   std::optional<Message> recv();
   /// Timed receive; ok(nullopt) means closed-and-drained, kTimeout means
   /// nothing was deliverable within `timeout` (<= 0 = wait forever).
   [[nodiscard]] Result<std::optional<Message>> recv_for(SimTime timeout);
+  /// The stage form of recv(): take with try_recv(); when it finds nothing
+  /// and drained() is false, `co_await readable()` and try again.
+  [[nodiscard]] sim::WaitQueue::Wait readable();
+  std::optional<Message> try_recv();
+  /// True once the stream has ended and every message was received: recv()
+  /// would return nullopt.
+  [[nodiscard]] bool drained() const;
 
   /// Closes the sending side; in-flight messages still deliver, then
   /// receivers see end-of-stream.

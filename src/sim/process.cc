@@ -128,7 +128,7 @@ void say(const char* s, std::size_t n) {  // async-signal-safe stderr write
 }
 
 /// Mappings of finished processes, taken before mmap is called again. A
-/// plain static, like StackGuard::running: every simulation and all of its
+/// plain static, like Process::running_: every simulation and all of its
 /// processes run on one OS thread (DESIGN.md §5.1).
 std::vector<char*> free_stacks;
 
@@ -159,9 +159,6 @@ char* take_stack() {
 /// default), which reports it and ends the run.
 class StackGuard {
  public:
-  /// The process whose stack is executing, or nullptr on the scheduler's.
-  static inline const Process* running = nullptr;
-
   static void install() {
     // The handler needs a stack of its own: the faulting one is full. Keep
     // one that is already set up (ASan sets up its own).
@@ -183,7 +180,7 @@ class StackGuard {
 
  private:
   static void on_segv(int /*sig*/, siginfo_t* info, void* /*context*/) {
-    const Process* p = running;
+    const Process* p = Process::running_;
     const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
     if (p != nullptr &&
         addr - reinterpret_cast<std::uintptr_t>(p->mapping_) < kGuardBytes) {
@@ -253,13 +250,13 @@ void Process::entry(Process* self) {
 void Process::resume_from_scheduler() {
   void* fake_stack = nullptr;  // the scheduler's, kept across the switch
   asan_start_switch(&fake_stack, mapping_ + kGuardBytes, kStackBytes);
-  const Process* outer = StackGuard::running;
-  StackGuard::running = this;
+  const Process* outer = running_;
+  running_ = this;
   tsan_scheduler_ = tsan_current_fiber();
   tsan_switch_to(tsan_fiber_);
   sv_sim_fiber_switch(&scheduler_sp_, sp_);
   asan_finish_switch(fake_stack, nullptr, nullptr);
-  StackGuard::running = outer;
+  running_ = outer;
   if (finished_) release_stack();
 }
 

@@ -50,9 +50,17 @@ class Process {
   /// Non-empty label describing what the process is blocked on (diagnostics).
   [[nodiscard]] const char* block_reason() const { return block_reason_; }
 
+  /// The process whose stack is executing, or nullptr on a scheduler's
+  /// stack (an event handler or a stage).
+  [[nodiscard]] static const Process* running() { return running_; }
+
  private:
   friend class Simulation;
   friend class StackGuard;  // process.cc: names the process on overflow
+
+  /// running(): a plain static, as every simulation and all of its
+  /// processes run on one OS thread (DESIGN.md §5.1).
+  static inline const Process* running_ = nullptr;
 
   /// Scheduler-side: switch to the process; returns once it yields back.
   void resume_from_scheduler();

@@ -29,12 +29,23 @@ class Resource {
   /// The stage form of acquire(): when try_acquire() would succeed the
   /// stage takes the unit at once, with no event; otherwise it joins the
   /// FIFO, and release() hands it the unit and schedules one zero-delay
-  /// event, as it does for a process.
+  /// event, as it does for a process. A task run in place calls acquire()
+  /// instead (task.h).
   class Acquire {
    public:
     [[nodiscard]] bool await_ready() const { return res_->try_acquire(); }
     void await_suspend(Stage::Handle stage) const {
-      res_->waiters_.push_back(Blocked{.stage = stage});
+      res_->waiters_.push_back(Blocked{.stage = stage, .leaf = stage});
+    }
+    template <TaskPromise P>
+    bool await_suspend(std::coroutine_handle<P> task) const {
+      const Stage::Handle root = task.promise().root;
+      if (!root) {
+        res_->acquire();
+        return false;
+      }
+      res_->waiters_.push_back(Blocked{.stage = root, .leaf = task});
+      return true;
     }
     void await_resume() const noexcept {}
 

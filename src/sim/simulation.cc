@@ -43,9 +43,9 @@ void Simulation::start(Stage stage) {
   engine_.schedule(SimTime::zero(), [this, frame] { resume(frame); });
 }
 
-void Simulation::resume(Stage::Handle stage) {
+void Simulation::resume(Stage::Handle stage, std::coroutine_handle<> leaf) {
   SV_DCHECK(current_ == nullptr, "a stage resumed inside a process");
-  stage.resume();
+  leaf.resume();
   if (!stage.done()) return;
   Stage::promise_type& promise = stage.promise();
   const std::exception_ptr err = std::exchange(promise.error, nullptr);
@@ -128,10 +128,11 @@ void Simulation::wake(Process& p) {
   engine_.schedule(SimTime::zero(), [this, &p] { resume(p); });
 }
 
-void Simulation::wake(Stage::Handle stage) {
+void Simulation::wake(Stage::Handle stage, std::coroutine_handle<> leaf) {
   // As for a process: during shutdown the frame may already be destroyed.
   if (shutting_down_) return;
-  engine_.schedule(SimTime::zero(), [this, stage] { resume(stage); });
+  engine_.schedule(SimTime::zero(),
+                   [this, stage, leaf] { resume(stage, leaf); });
 }
 
 namespace {

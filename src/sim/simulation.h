@@ -13,6 +13,7 @@
 // processes, stages and plain event handlers.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "sim/engine.h"
 #include "sim/process.h"
 #include "sim/stage.h"
+#include "sim/task.h"
 
 namespace sv::sim {
 
@@ -32,6 +34,9 @@ namespace sv::sim {
 struct Blocked {
   Process* proc = nullptr;
   Stage::Handle stage{};
+  /// What the wake resumes: `stage` itself or, when the stage waits
+  /// inside a task it awaits (task.h), that innermost task.
+  std::coroutine_handle<> leaf{};
 };
 
 class Simulation {
@@ -121,26 +126,40 @@ class Simulation {
   /// The process resumes via an event at the current simulated time.
   void wake(Process& p);
   /// Wakes a suspended stage through one event at the current simulated
-  /// time. The caller has taken it off the one FIFO it waited in.
-  void wake(Stage::Handle stage);
+  /// time that resumes `leaf` (the stage, or the task it waits in). The
+  /// caller has taken it off the one FIFO it waited in.
+  void wake(Stage::Handle stage, std::coroutine_handle<> leaf);
   void wake(const Blocked& b) {
     if (b.proc != nullptr) {
       wake(*b.proc);
     } else {
-      wake(b.stage);
+      wake(b.stage, b.leaf);
     }
   }
 
-  // ---- Awaitable only from inside a stage ----
+  // ---- Awaitable from inside a stage or a task ----
 
   /// The stage form of delay(): `co_await sim.sleep(d)` schedules one event
   /// at now() + d that resumes the stage — for d == 0 too, as delay(0)
-  /// does, so no later event id moves.
+  /// does, so no later event id moves. A task run in place delays its
+  /// process instead (task.h).
   class Sleep {
    public:
     [[nodiscard]] bool await_ready() const noexcept { return false; }
     void await_suspend(Stage::Handle stage) const {
       sim_->schedule(d_, [sim = sim_, stage] { sim->resume(stage); });
+    }
+    template <TaskPromise P>
+    bool await_suspend(std::coroutine_handle<P> task) const {
+      const Stage::Handle root = task.promise().root;
+      if (!root) {
+        sim_->delay(d_);
+        return false;
+      }
+      const std::coroutine_handle<> leaf = task;
+      sim_->schedule(d_,
+                     [sim = sim_, root, leaf] { sim->resume(root, leaf); });
+      return true;
     }
     void await_resume() const noexcept {}
 
@@ -165,9 +184,11 @@ class Simulation {
 
   Process& spawn_impl(std::string name, std::function<void()> body);
   void resume(Process& p);
-  /// Runs a stage to its next suspension; destroys its frame, and rethrows
-  /// its error, once it has returned.
-  void resume(Stage::Handle stage);
+  /// Resumes `leaf`, the stage or a task it awaits, up to the stage's next
+  /// suspension; destroys the stage's frame, and rethrows its error, once
+  /// it has returned.
+  void resume(Stage::Handle stage, std::coroutine_handle<> leaf);
+  void resume(Stage::Handle stage) { resume(stage, stage); }
   void check_current_killed();
   void pump_snapshot(SimTime period);
 

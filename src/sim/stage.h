@@ -18,10 +18,12 @@
 //   }
 //   s.start(relay(&s, &ch, &cpu));
 //
-// A stage suspends only through three awaitables, each the stage form of
+// A stage suspends only through four awaitables, each the stage form of
 // one process call that schedules the same event: Simulation::sleep
-// (delay), Resource::acquire_stage (acquire) and WaitQueue::wait_stage
-// (wait; Channel::readable is one).
+// (delay), Resource::acquire_stage (acquire), WaitQueue::wait_stage (wait;
+// Channel::readable is one) and WaitQueue::wait_until_stage (wait_until).
+// A stage may also await a sim::Task (task.h), a blocking operation
+// written once for processes and stages.
 #pragma once
 
 #include <coroutine>

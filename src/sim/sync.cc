@@ -30,20 +30,26 @@ bool WaitQueue::wait_until(SimTime deadline) {
                            "]::wait_until outside process");
   }
   if (deadline <= sim_->now()) return false;
+  const std::shared_ptr<Timed> timed = enqueue_until({.proc = p}, deadline);
+  sim_->block_current(name_.c_str());
+  return timed->notified;
+}
+
+std::shared_ptr<WaitQueue::Timed> WaitQueue::enqueue_until(Blocked who,
+                                                           SimTime deadline) {
   auto timed = std::make_shared<Timed>();
-  waiters_.push_back(Waiter{{.proc = p}, timed});
+  waiters_.push_back(Waiter{who, timed});
   // The timeout event deliberately captures only the shared record, the
-  // process and the simulation — never `this` — so it stays safe even if
+  // waiter and the simulation — never `this` — so it stays safe even if
   // the WaitQueue is destroyed before the event fires. Timed-out waiters
   // are lazily scrubbed.
-  sim_->schedule_at(deadline, [sim = sim_, p, timed] {
+  sim_->schedule_at(deadline, [sim = sim_, who, timed] {
     if (timed->done) return;
     timed->done = true;
     timed->notified = false;
-    sim->wake(*p);
+    sim->wake(who);
   });
-  sim_->block_current(name_.c_str());
-  return timed->notified;
+  return timed;
 }
 
 bool WaitQueue::notify_one() {

@@ -3,7 +3,8 @@
 // All primitives are condition-variable style: a woken waiter re-checks its
 // predicate, so these compose safely even with multiple producers/consumers.
 // FIFO wake order keeps runs deterministic. Processes and stages wait in the
-// same FIFOs: a stage awaits WaitQueue::wait_stage (Channel::readable).
+// same FIFOs: a stage awaits WaitQueue::wait_stage (Channel::readable) or
+// wait_until_stage.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,12 @@ namespace sv::sim {
 /// A FIFO queue of blocked processes and suspended stages; the building
 /// block for conditions and channels.
 class WaitQueue {
+  /// A timed waiter's outcome, co-owned by its timeout event.
+  struct Timed {
+    bool notified = false;
+    bool done = false;  // true once notified or timed out
+  };
+
  public:
   explicit WaitQueue(Simulation* sim, std::string name = "waitq")
       : sim_(sim), name_(std::move(name)) {}
@@ -36,11 +43,22 @@ class WaitQueue {
 
   /// The stage form of wait(): `co_await q.wait_stage()` joins the same
   /// FIFO, and the notify that reaches it schedules one zero-delay event.
+  /// A task run in place calls wait() instead (task.h).
   class Wait {
    public:
     [[nodiscard]] bool await_ready() const noexcept { return false; }
     void await_suspend(Stage::Handle stage) const {
-      q_->waiters_.push_back(Waiter{{.stage = stage}, nullptr});
+      q_->waiters_.push_back(Waiter{{.stage = stage, .leaf = stage}, nullptr});
+    }
+    template <TaskPromise P>
+    bool await_suspend(std::coroutine_handle<P> task) const {
+      const Stage::Handle root = task.promise().root;
+      if (!root) {
+        q_->wait();
+        return false;
+      }
+      q_->waiters_.push_back(Waiter{{.stage = root, .leaf = task}, nullptr});
+      return true;
     }
     void await_resume() const noexcept {}
 
@@ -51,6 +69,51 @@ class WaitQueue {
   };
   [[nodiscard]] Wait wait_stage() { return Wait(this); }
 
+  /// The stage form of wait_until(): `co_await q.wait_until_stage(deadline)`
+  /// yields what wait_until(deadline) returns and schedules the same
+  /// events. A task run in place calls wait_until() instead.
+  class WaitUntil {
+   public:
+    [[nodiscard]] bool await_ready() const noexcept {
+      return deadline_ != SimTime::max() && deadline_ <= q_->sim_->now();
+    }
+    void await_suspend(Stage::Handle stage) {
+      enqueue(Blocked{.stage = stage, .leaf = stage});
+    }
+    template <TaskPromise P>
+    bool await_suspend(std::coroutine_handle<P> task) {
+      const Stage::Handle root = task.promise().root;
+      if (!root) {
+        notified_ = q_->wait_until(deadline_);
+        return false;
+      }
+      enqueue(Blocked{.stage = root, .leaf = task});
+      return true;
+    }
+    [[nodiscard]] bool await_resume() const noexcept {
+      return timed_ ? timed_->notified : notified_;
+    }
+
+   private:
+    friend class WaitQueue;
+    WaitUntil(WaitQueue* q, SimTime deadline) : q_(q), deadline_(deadline) {}
+    void enqueue(Blocked who) {
+      if (deadline_ == SimTime::max()) {
+        q_->waiters_.push_back(Waiter{who, nullptr});
+        notified_ = true;
+      } else {
+        timed_ = q_->enqueue_until(who, deadline_);
+      }
+    }
+    WaitQueue* q_;
+    SimTime deadline_;
+    bool notified_ = false;
+    std::shared_ptr<Timed> timed_;
+  };
+  [[nodiscard]] WaitUntil wait_until_stage(SimTime deadline) {
+    return WaitUntil(this, deadline);
+  }
+
   /// Wakes the oldest waiter; returns false if none.
   bool notify_one();
   /// Wakes all current waiters.
@@ -59,14 +122,9 @@ class WaitQueue {
   [[nodiscard]] std::size_t waiter_count() const;
 
  private:
-  /// A timed waiter's outcome, co-owned by its timeout event.
-  struct Timed {
-    bool notified = false;
-    bool done = false;  // true once notified or timed out
-  };
   /// A queued waiter: the process or stage itself for wait() and
-  /// wait_stage(), which allocate nothing; a process's timed wait adds the
-  /// record its timeout event shares.
+  /// wait_stage(), which allocate nothing; a timed wait adds the record
+  /// its timeout event shares.
   struct Waiter {
     Blocked who;
     std::shared_ptr<Timed> timed;
@@ -74,6 +132,9 @@ class WaitQueue {
   };
 
   void scrub();
+  /// Queues `who` with a timeout event at `deadline`, whose record it
+  /// returns.
+  std::shared_ptr<Timed> enqueue_until(Blocked who, SimTime deadline);
 
   Simulation* sim_;
   std::string name_;

@@ -1,5 +1,6 @@
 #include "sockets/mux.h"
 
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -45,12 +46,12 @@ SendMux::SendMux(sim::Simulation* sim, net::Cluster* cluster, int node,
                  SendMuxConfig cfg, DeliveryFn on_delivery)
     : st_(std::make_shared<State>(sim, cluster, node, cfg,
                                   std::move(on_delivery))) {
-  sim->spawn(st_->name + ".sender", [st = st_] { st->sender_loop(); });
+  sim->start(State::sender_stage(st_));
 }
 
 SendMux::~SendMux() {
-  // Stop intake; the co-owning sender/sink processes wind down on their
-  // own (Pipe-style lifetime).
+  // Stop intake; the co-owning sender/sink stages wind down on their own
+  // (Pipe-style lifetime).
   if (!st_->stopping) {
     st_->stopping = true;
     st_->work_waiters.notify_all();
@@ -66,8 +67,7 @@ SendMux::Lane& SendMux::State::lane(int dst) {
       &cluster->node(static_cast<std::size_t>(dst)),
       net::CalibrationProfile::for_transport(cfg.transport),
       name + "->" + std::to_string(dst));
-  sim->spawn(name + ".sink" + std::to_string(dst),
-             [self = shared_from_this(), dst] { self->sink_loop(dst); });
+  sim->start(sink_stage(shared_from_this(), dst));
   return l;
 }
 
@@ -145,16 +145,17 @@ std::uint64_t SendMux::batches() const { return st_->c_batches->value(); }
 
 std::uint64_t SendMux::drops() const { return st_->c_drops->value(); }
 
-void SendMux::State::sender_loop() {
+sim::Stage SendMux::State::sender_stage(std::shared_ptr<State> self) {
+  State& st = *self;
   while (true) {
-    if (interest.empty()) {
-      if (stopping) break;
-      work_waiters.wait();
+    if (st.interest.empty()) {
+      if (st.stopping) break;
+      co_await st.work_waiters.wait_stage();
       continue;
     }
-    const int dst = interest.front();
-    interest.pop_front();
-    Lane& l = lanes.at(dst);
+    const int dst = st.interest.front();
+    st.interest.pop_front();
+    Lane& l = st.lanes.at(dst);
 
     // Drain up to the aggregate caps into one fabric message. The first
     // record always fits (a lone oversized record must still ship). The
@@ -167,7 +168,7 @@ void SendMux::State::sender_loop() {
       const std::uint64_t need = kHeaderBytes + r.bytes;
       if (records > 0 && total + need > kAggregateMaxBytes) break;
       l.queued_bytes -= r.bytes;
-      g_queued_bytes->add(-static_cast<std::int64_t>(r.bytes));
+      st.g_queued_bytes->add(-static_cast<std::int64_t>(r.bytes));
       total += need;
       ++records;
       l.in_flight.push_back(r);
@@ -176,7 +177,7 @@ void SendMux::State::sender_loop() {
     // Re-arm at the tail while the lane still has work: round-robin
     // fairness across destinations, FIFO within a lane.
     if (!l.q.empty()) {
-      interest.push_back(dst);
+      st.interest.push_back(dst);
     } else {
       l.interested = false;
     }
@@ -185,27 +186,35 @@ void SendMux::State::sender_loop() {
     net::Message m;
     m.bytes = total;
     m.tag = records;
-    c_batches->inc();
-    c_batch_records->inc(records);
-    // Blocking send: fabric flow control (and, behind it, topology uplink
-    // queueing) backpressures the whole mux, not a per-connection thread.
-    l.pipe->send(std::move(m));
+    st.c_batches->inc();
+    st.c_batch_records->inc(records);
+    // Blocking send with no deadline (always ok): fabric flow control
+    // (and, behind it, topology uplink queueing) backpressures the whole
+    // mux, not a per-connection thread.
+    (void)co_await l.pipe->send_task(std::move(m), SimTime::zero());
   }
-  for (auto& [dst, l] : lanes) {
+  for (auto& [dst, l] : st.lanes) {
     if (l.pipe) l.pipe->close();
   }
 }
 
-void SendMux::State::sink_loop(int dst) {
-  Lane& l = lanes.at(dst);
-  while (auto m = l.pipe->recv()) {
+sim::Stage SendMux::State::sink_stage(std::shared_ptr<State> self, int dst) {
+  State& st = *self;
+  Lane& l = st.lanes.at(dst);
+  while (true) {
+    const std::optional<net::Message> m = l.pipe->try_recv();
+    if (!m) {
+      if (l.pipe->drained()) co_return;
+      co_await l.pipe->readable();
+      continue;
+    }
     // The pipe is in order, so this aggregate's records are the oldest
     // `tag` records in flight.
     for (std::uint64_t i = 0; i < m->tag; ++i) {
       const MuxRecord r = l.in_flight.front();
       l.in_flight.pop_front();
-      c_delivered->inc();
-      if (on_delivery) on_delivery(dst, r, sim->now());
+      st.c_delivered->inc();
+      if (st.on_delivery) st.on_delivery(dst, r, st.sim->now());
     }
   }
 }

@@ -5,22 +5,26 @@
 // server fans out to thousands of clients. Following the aggregation design
 // the Ibdxnet transport documents (arXiv:1812.01963), SendMux multiplexes
 // any number of logical connections onto one net::Pipe per (src, dst) node
-// pair and ONE sender process per node:
+// pair and ONE sender stage per node:
 //
 //   submit(conn, bytes)  appends a MuxRecord to the destination's send
 //                        queue (bounded; overflow drops, like an open-loop
 //                        generator's kernel socket buffer would) and marks
 //                        the destination "interested".
-//   sender process       round-robins over interested destinations,
+//   sender stage         round-robins over interested destinations,
 //                        drains records up to the aggregate caps into
 //                        one aggregate net::Message (per-record framing
-//                        header included), and blocks in
-//                        Pipe::send — so fabric backpressure throttles
-//                        the mux without a thread per connection.
-//   sink process (1/pipe) receives aggregates at the destination and
+//                        header included), and awaits Pipe::send_task —
+//                        so fabric backpressure throttles the mux without
+//                        a thread per connection.
+//   sink stage (1/pipe)  receives aggregates at the destination and
 //                        hands each of their records to the delivery
 //                        callback with its end-to-end enqueue→delivery
 //                        latency observable.
+//
+// The sender and sinks are sim::Stage coroutines (DESIGN.md §5.2): a mux
+// owns no fiber, and each schedules exactly the events its process form
+// would.
 //
 // The records themselves never cross the pipe. The sender moves each
 // drained record into its lane's in-flight FIFO and sends only the
@@ -36,7 +40,7 @@
 // Once warmed up, submitting, draining and delivering allocate nothing
 // (DESIGN.md §12): every queue is a sim::RingFifo.
 //
-// Threading: process count is O(destinations), not O(connections) — the
+// Threading: stage count is O(destinations), not O(connections) — the
 // scaling property the open-loop harness (src/harness/openloop.h) relies
 // on to model millions of clients.
 #pragma once
@@ -79,7 +83,7 @@ class SendMux {
                          SimTime delivered_at)>;
 
   /// One mux per sending node. Pipes to destinations are created lazily on
-  /// first open_connection(); the sender process starts immediately.
+  /// first open_connection(); the sender stage starts immediately.
   SendMux(sim::Simulation* sim, net::Cluster* cluster, int node,
           SendMuxConfig cfg, DeliveryFn on_delivery);
   ~SendMux();
@@ -88,7 +92,7 @@ class SendMux {
   SendMux& operator=(const SendMux&) = delete;
 
   /// Opens a logical connection to `dst_node`; returns its id. O(1)
-  /// simulated cost: connections are bookkeeping rows, not processes.
+  /// simulated cost: connections are bookkeeping rows, not stages.
   std::uint64_t open_connection(int dst_node);
 
   /// Queues `bytes` on `conn`'s destination lane. Returns false (and
@@ -108,7 +112,7 @@ class SendMux {
   /// still deliver. No-op for lanes that were never opened.
   std::uint64_t flush_lane(int dst_node);
 
-  /// Stops intake; the sender process drains every lane, closes the pipes
+  /// Stops intake; the sender stage drains every lane, closes the pipes
   /// (sinks exit after the last delivery), then exits. Idempotent.
   void shutdown();
 
@@ -130,7 +134,7 @@ class SendMux {
     bool interested = false;
   };
 
-  /// Mutable state co-owned by the sender/sink processes (Pipe-style), so
+  /// Mutable state co-owned by the sender/sink stages (Pipe-style), so
   /// the SendMux handle may be destroyed while batches are in flight.
   struct State : std::enable_shared_from_this<State> {
     State(sim::Simulation* sim_in, net::Cluster* cluster_in, int node_in,
@@ -138,8 +142,8 @@ class SendMux {
 
     Lane& lane(int dst);
     void arm(int dst, Lane& l);
-    void sender_loop();
-    void sink_loop(int dst);
+    static sim::Stage sender_stage(std::shared_ptr<State> self);
+    static sim::Stage sink_stage(std::shared_ptr<State> self, int dst);
 
     sim::Simulation* sim;
     net::Cluster* cluster;

@@ -112,20 +112,6 @@ TEST(RegCacheTest, EvictionOrderIsDeterministicAcrossSeeds) {
   }
 }
 
-TEST(RegCacheTest, FlushUnpinsEverything) {
-  obs::Hub hub;
-  RegCache cache = make_cache(&hub, 4);
-  for (std::uint64_t id = 1; id <= 4; ++id) {
-    (void)cache.lookup(SimTime::zero(), id, 1024);
-  }
-  EXPECT_EQ(cache.resident(), 4u);
-  EXPECT_EQ(cache.flush(SimTime::zero()), 4096u);
-  EXPECT_EQ(cache.resident(), 0u);
-  EXPECT_EQ(cache.pinned_bytes(), 0u);
-  EXPECT_EQ(hub.registry.counter_value("mem.deregistrations"), 4u);
-  EXPECT_EQ(hub.registry.counter_value("mem.deregistered_bytes"), 4096u);
-}
-
 TEST(RegCacheTest, CapacityZeroDegeneratesToRegisterOnTheFly) {
   // Same acquire/release sequence through a capacity-0 kRegCache policy
   // and a kRegisterOnFly policy: identical ledger counters, and identical

@@ -221,5 +221,22 @@ TEST(ClusterFaultTest, StallWindowBlocksComputeUntilItEnds) {
   EXPECT_GE(done, 500_us);
 }
 
+TEST(ClusterFaultTest, StallWindowSpawnsNoProcess) {
+  // The stall holders are stages (DESIGN.md §5.2), not processes.
+  sim::Simulation s;
+  Cluster cluster(&s, 2);
+  FaultPlan plan;
+  plan.nodes.push_back(
+      NodeFault{.node = 0, .start = 100_us, .duration = 400_us});
+  cluster.install_faults(plan, 1);
+  EXPECT_EQ(s.live_process_count(), 0u);
+  s.run();
+  EXPECT_EQ(s.live_process_count(), 0u);
+  // The holders took every unit at 100 us and gave them back at 500 us.
+  EXPECT_EQ(s.now(), 500_us);
+  EXPECT_EQ(cluster.node(0).cpu().busy_ns(), 2 * (400_us).ns());
+  EXPECT_EQ(cluster.node(0).cpu().in_use(), 0);
+}
+
 }  // namespace
 }  // namespace sv::net

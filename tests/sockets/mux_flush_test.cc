@@ -1,7 +1,7 @@
 // Demotion-path mux contracts (DESIGN.md §15): flush_lane sheds a
 // degraded destination's queued records (counted under mux.flushed, never
 // as drops), while the records of aggregates already on the pipe still
-// deliver, each once and in submit order per lane.
+// deliver, each once and in submit order per lane. A mux owns no process.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,7 +25,7 @@ TEST(MuxFlushTest, FlushLaneShedsQueuedRecordsAndReleasesPayloads) {
   const std::uint64_t to2 = mux.open_connection(2);
 
   // 6 records queued to node 1 and 2 to node 2, all at t=0 — the sender
-  // process has not drained anything yet.
+  // stage has not drained anything yet.
   for (int i = 0; i < 6; ++i) ASSERT_TRUE(mux.submit(to1, kBytes));
   for (int i = 0; i < 2; ++i) ASSERT_TRUE(mux.submit(to2, kBytes));
   const auto& reg = s.obs().registry;
@@ -116,6 +116,25 @@ TEST(MuxFlushTest, InFlightRecordsDeliverOnceInSubmitOrderAcrossAFlush) {
   EXPECT_EQ(got.size(), 2u);
   check(1, to1, want1);
   check(2, to2, want2);
+}
+
+TEST(SendMuxTest, SenderAndSinksSpawnNoProcess) {
+  // The sender and each lane's sink are stages (DESIGN.md §5.2), not
+  // processes: a mux owns no fiber.
+  sim::Simulation s;
+  net::Cluster cluster(&s, 3);
+  std::uint64_t delivered = 0;
+  SendMux mux(&s, &cluster, /*node=*/0, SendMuxConfig{},
+              [&](int, const MuxRecord&, SimTime) { ++delivered; });
+  const std::uint64_t to1 = mux.open_connection(1);
+  const std::uint64_t to2 = mux.open_connection(2);
+  EXPECT_EQ(s.live_process_count(), 0u);
+  ASSERT_TRUE(mux.submit(to1, 512));
+  ASSERT_TRUE(mux.submit(to2, 512));
+  mux.shutdown();
+  s.run();
+  EXPECT_EQ(delivered, 2u);
+  EXPECT_EQ(s.live_process_count(), 0u);
 }
 
 }  // namespace
