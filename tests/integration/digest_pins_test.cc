@@ -5,13 +5,15 @@
 // detailed VIA socket's credit protocol under starvation, on both data
 // paths (the flow-control ablation and the RDMA extension), or of the
 // detailed kernel TCP's loss recovery (RTO, fast retransmit, reassembly)
-// under bursty loss and jitter. Its (events_fired, trace_digest) pair is
-// committed to tests/integration/digest_pins.txt; the paper-experiment
-// pins were captured on the original std::priority_queue engine *before*
-// the timing-wheel queue swap. The test recomputes every workload on the
-// current engine — on *both* queue implementations — and asserts
-// bit-identical digests, so the determinism contract survives queue and
-// allocator optimizations mechanically, not by review.
+// under bursty loss and jitter, or of a demand-driven DataCutter stream
+// over a local pair and a fast or detailed transport. Its (events_fired,
+// trace_digest) pair is committed to tests/integration/digest_pins.txt;
+// the paper-experiment pins were captured on the original
+// std::priority_queue engine *before* the timing-wheel queue swap. The
+// test recomputes every workload on the current engine — on *both* queue
+// implementations — and asserts bit-identical digests, so the determinism
+// contract survives queue and allocator optimizations mechanically, not by
+// review.
 //
 // Regenerate (only for deliberate, understood schedule changes):
 //   ./build/tests/digest_pins_test --update-pins
@@ -28,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "datacutter/runtime.h"
 #include "harness/openloop.h"
 #include "harness/vizbench.h"
 #include "net/cluster.h"
@@ -205,6 +208,66 @@ PinnedRun tcp_lossy_echo(sim::QueueKind kind) {
   return {s.events_fired(), s.engine().trace_digest()};
 }
 
+/// Writes buffers of 700 B to 40 KiB per unit of work, four of them larger
+/// than a 16 KiB VIA chunk.
+class DdSource final : public dc::Filter {
+ public:
+  void process(dc::FilterContext& ctx) override {
+    constexpr std::uint64_t kSizes[] = {3'000,  40'000, 700,   24'000,
+                                        16'384, 9'000,  33'000, 1'200,
+                                        20'000, 5'000};
+    std::uint64_t tag = 0;
+    for (const std::uint64_t bytes : kSizes) {
+      ctx.write(dc::DataBuffer{.bytes = bytes, .tag = tag++});
+    }
+  }
+};
+
+/// Computes 2 ns per byte of every buffer it reads; counts what it read.
+class DdSink final : public dc::Filter {
+ public:
+  explicit DdSink(std::uint64_t* bytes) : bytes_(bytes) {}
+  void process(dc::FilterContext& ctx) override {
+    while (const std::optional<dc::DataBuffer> b = ctx.read()) {
+      ctx.compute(
+          SimTime::nanoseconds(static_cast<std::int64_t>(2 * b->bytes)));
+      *bytes_ += b->bytes;
+    }
+  }
+
+ private:
+  std::uint64_t* bytes_;
+};
+
+/// A demand-driven DataCutter stream: a source on node 0 feeds two
+/// consumer copies, one on node 0 (a LocalSocket pair) and one on node 1
+/// (`tr` at `fidelity`), over three units of work.
+PinnedRun dc_dd(sim::QueueKind kind, sockets::Fidelity fidelity,
+                net::Transport tr) {
+  sim::Simulation s(kind);
+  net::Cluster cluster(&s, 2);
+  sockets::SocketFactory factory(&s, &cluster, fidelity);
+  std::uint64_t received = 0;
+  dc::FilterGroup g;
+  g.add_filter("src", [] { return std::make_unique<DdSource>(); }, {0});
+  g.add_filter("sink",
+               [&received] { return std::make_unique<DdSink>(&received); },
+               {0, 1});
+  g.add_stream("src", "sink", dc::SchedPolicy::kDemandDriven);
+  dc::Runtime rt(&s, &cluster, &factory, std::move(g),
+                 dc::RuntimeOptions{.transport = tr});
+  rt.start();
+  for (std::uint64_t q = 1; q <= 3; ++q) rt.submit(dc::Uow{.id = q});
+  rt.close_input();
+  s.run();
+  // Every buffer arrived, and both consumer copies took some.
+  EXPECT_EQ(received, 3 * 152'284u);
+  const auto split = rt.distribution(0);
+  EXPECT_GT(split[0][0], 0u);
+  EXPECT_GT(split[0][1], 0u);
+  return {s.events_fired(), s.engine().trace_digest()};
+}
+
 /// Fig 8-style paced complete updates with partial-update probes.
 PinnedRun fig08_paced(sim::QueueKind kind, net::Transport tr) {
   VizWorkloadConfig cfg;
@@ -298,6 +361,24 @@ TEST(DigestPins, ViaCreditStreamRdma) {
 TEST(DigestPins, TcpLossyEcho) {
   check_all_queues("tcp_lossy_echo",
                    [](sim::QueueKind k) { return tcp_lossy_echo(k); });
+}
+
+TEST(DigestPins, DataCutterDemandDrivenFastTcp) {
+  check_all_queues("dc_dd_fast_tcp", [](sim::QueueKind k) {
+    return dc_dd(k, sockets::Fidelity::kFast, net::Transport::kKernelTcp);
+  });
+}
+
+TEST(DigestPins, DataCutterDemandDrivenDetailedTcp) {
+  check_all_queues("dc_dd_detailed_tcp", [](sim::QueueKind k) {
+    return dc_dd(k, sockets::Fidelity::kDetailed, net::Transport::kKernelTcp);
+  });
+}
+
+TEST(DigestPins, DataCutterDemandDrivenDetailedSocketVia) {
+  check_all_queues("dc_dd_detailed_svia", [](sim::QueueKind k) {
+    return dc_dd(k, sockets::Fidelity::kDetailed, net::Transport::kSocketVia);
+  });
 }
 
 TEST(DigestPins, Fig08PacedUpdatesTcp) {
