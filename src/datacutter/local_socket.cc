@@ -24,10 +24,10 @@ sv::Result<void> LocalSocket::send_for(net::Message m, SimTime /*timeout*/) {
   return sv::Result<void>::success();
 }
 
-sv::Result<std::optional<net::Message>> LocalSocket::recv_for(
+sim::Task<sv::Result<std::optional<net::Message>>> LocalSocket::recv_task(
     SimTime timeout) {
   const SimTime start = obs_now();
-  return finish_recv(start, in_->recv_for(timeout));
+  co_return finish_recv(start, co_await in_->recv_task(timeout));
 }
 
 void LocalSocket::close_send() {

@@ -18,7 +18,8 @@ class LocalSocket final : public sockets::SvSocket {
   /// The hand-off queue is unbounded: a same-host send never blocks on
   /// the peer, so its timeout cannot trip.
   [[nodiscard]] sv::Result<void> send_for(net::Message m, SimTime timeout) override;
-  [[nodiscard]] sv::Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
+  sim::Task<sv::Result<std::optional<net::Message>>> recv_task(
+      SimTime timeout) override;
   void close_send() override;
 
   /// Per-message hand-off cost between threads on one host.

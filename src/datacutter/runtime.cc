@@ -460,42 +460,19 @@ void Runtime::start() {
     }
   }
 
-  // Fan-in processes (one per consumer endpoint) and DD ack drains (one per
-  // producer endpoint).
+  // Fan-in stages (one per consumer endpoint), then DD ack drains (one per
+  // producer endpoint), all started before the filter copies: each start
+  // schedules one event, so this order fixes every later event's id.
   for (const auto& cs : copies_) {
     for (std::size_t i = 0; i < cs->inputs.size(); ++i) {
       for (std::size_t k = 0; k < cs->inputs[i].socks.size(); ++k) {
-        sim_->spawn(cs->spec->name + std::to_string(cs->copy) + ".fanin" +
-                        std::to_string(i) + "." + std::to_string(k),
-                    [cs, i, k] {
-                      auto& port = cs->inputs[i];
-                      while (auto m = port.socks[k]->recv()) {
-                        port.g_queue_depth->add(1);
-                        port.merged->send(
-                            CopyState::InPort::Item{k, std::move(*m)});
-                      }
-                      port.merged->send(
-                          CopyState::InPort::Item{k, std::nullopt});
-                    });
+        sim_->start(fan_in(cs, i, k));
       }
     }
     for (std::size_t o = 0; o < cs->outputs.size(); ++o) {
       if (cs->outputs[o].spec->policy != SchedPolicy::kDemandDriven) continue;
       for (std::size_t c = 0; c < cs->outputs[o].socks.size(); ++c) {
-        sim_->spawn(cs->spec->name + std::to_string(cs->copy) + ".ackdrain" +
-                        std::to_string(o) + "." + std::to_string(c),
-                    [cs, o, c] {
-                      auto& port = cs->outputs[o];
-                      while (auto m = port.socks[c]->recv()) {
-                        if (tag_kind(m->tag) != kKindAck) {
-                          throw std::logic_error(
-                              "Runtime: non-ack on producer return path");
-                        }
-                        --port.unacked[c];
-                        port.g_unacked->add(-1);
-                        port.ack_wait->notify_all();
-                      }
-                    });
+        sim_->start(ack_drain(cs, o, c));
       }
     }
   }
@@ -506,6 +483,38 @@ void Runtime::start() {
     cs->ctx = std::make_unique<ContextImpl>(cs.get());
     sim_->spawn(cs->spec->name + std::to_string(cs->copy),
                 [cs] { run_copy(cs); });
+  }
+}
+
+sim::Stage Runtime::fan_in(std::shared_ptr<CopyState> cs, std::size_t i,
+                           std::size_t k) {
+  CopyState::InPort& port = cs->inputs[i];
+  sockets::SvSocket& sock = *port.socks[k];
+  while (true) {
+    // No deadline, so the receive cannot time out.
+    std::optional<net::Message> m =
+        std::move((co_await sock.recv_task(SimTime::zero())).value());
+    if (!m) break;
+    port.g_queue_depth->add(1);
+    port.merged->send(CopyState::InPort::Item{k, std::move(*m)});
+  }
+  port.merged->send(CopyState::InPort::Item{k, std::nullopt});
+}
+
+sim::Stage Runtime::ack_drain(std::shared_ptr<CopyState> cs, std::size_t o,
+                              std::size_t c) {
+  CopyState::OutPort& port = cs->outputs[o];
+  sockets::SvSocket& sock = *port.socks[c];
+  while (true) {
+    const std::optional<net::Message> m =
+        std::move((co_await sock.recv_task(SimTime::zero())).value());
+    if (!m) co_return;
+    if (tag_kind(m->tag) != kKindAck) {
+      throw std::logic_error("Runtime: non-ack on producer return path");
+    }
+    --port.unacked[c];
+    port.g_unacked->add(-1);
+    port.ack_wait->notify_all();
   }
 }
 

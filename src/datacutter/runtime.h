@@ -1,6 +1,9 @@
 // The DataCutter runtime: instantiates a filter group onto the simulated
 // cluster, connects transparent copies with sockets, runs each copy as a
-// simulated process, and implements the stream protocol:
+// simulated process, and implements the stream protocol. Each stream
+// endpoint's fan-in and each demand-driven ack drain is a sim::Stage
+// (sim/stage.h) that awaits its socket's recv_task, so the copies are the
+// only processes a runtime spawns:
 //
 //   - data buffers, end-of-work markers (one per UOW per producer copy),
 //     and stream close travel in order on each point-to-point connection;
@@ -21,6 +24,7 @@
 
 #include "common/result.h"
 #include "datacutter/group.h"
+#include "sim/stage.h"
 #include "sockets/factory.h"
 
 namespace sv::dc {
@@ -95,6 +99,14 @@ class Runtime {
   /// the handle may be destroyed while the simulation still runs.
   struct Core;
 
+  /// Feeds input `i`'s endpoint `k` into the copy's fan-in queue: each
+  /// message, then end-of-stream as an empty item.
+  static sim::Stage fan_in(std::shared_ptr<CopyState> cs, std::size_t i,
+                           std::size_t k);
+  /// Takes demand-driven acks from output `o`'s consumer copy `c` and
+  /// wakes a producer waiting at the unacknowledged-buffer cap.
+  static sim::Stage ack_drain(std::shared_ptr<CopyState> cs, std::size_t o,
+                              std::size_t c);
   static void run_copy(const std::shared_ptr<CopyState>& cs);
 
   sim::Simulation* sim_;

@@ -132,16 +132,13 @@ sim::Task<Result<void>> Pipe::send_task(Message m, SimTime timeout) {
     st.g_in_flight_link->add(static_cast<std::int64_t>(flen));
     st.c_frames_link->inc();
     st.c_frame_bytes_sent_link->inc(flen);
-    Frame f;
-    f.bytes = flen;
-    f.first = first;
-    f.last = last;
-    if (last) f.msg = std::move(m);
+    const Frame f{.bytes = flen, .first = first, .last = last};
     // Sender-host stage, serialized with other sends from this node.
     co_await tx_host.acquire_stage();
     co_await st.sim->sleep(st.sender_frame_time(f));
     tx_host.release();
-    st.to_wire.send(std::move(f));
+    if (last) st.messages.push_back(std::move(m));
+    st.to_wire.send(f);
     if (last) break;
     first = false;
   }
@@ -152,15 +149,13 @@ void Pipe::close() {
   State& st = *st_;
   if (st.closed) return;
   st.closed = true;
-  Frame f;
-  f.eof = true;
-  st.to_wire.send(std::move(f));
+  st.to_wire.send(Frame{.eof = true});
 }
 
 std::optional<Message> Pipe::recv() { return st_->delivered.recv(); }
 
-Result<std::optional<Message>> Pipe::recv_for(SimTime timeout) {
-  return st_->delivered.recv_for(timeout);
+sim::Task<Result<std::optional<Message>>> Pipe::recv_task(SimTime timeout) {
+  return st_->delivered.recv_task(timeout);
 }
 
 sim::WaitQueue::Wait Pipe::readable() { return st_->delivered.readable(); }
@@ -284,13 +279,13 @@ sim::Stage Pipe::State::proto_stage(std::shared_ptr<State> self) {
     st.g_in_flight_link->add(-static_cast<std::int64_t>(f->bytes));
     st.window_waiters.notify_all();
     if (f->last) {
-      f->msg.delivered_at = sim.now();
+      Message& m = st.messages.front();
+      m.delivered_at = sim.now();
       st.c_msgs_recv_total->inc();
-      st.h_msg_latency->observe((f->msg.delivered_at - f->msg.sent_at).ns());
+      st.h_msg_latency->observe((m.delivered_at - m.sent_at).ns());
       // delivered is unbounded, so this send never blocks the stage.
-      if (!st.delivered.closed()) {
-        st.delivered.send(std::move(f->msg));
-      }
+      if (!st.delivered.closed()) st.delivered.send(std::move(m));
+      st.messages.pop_front();
     }
   }
 }

@@ -21,7 +21,8 @@
 // advertised window / SocketVIA credit scheme. Sending has one body, the
 // sim::Task send_task(), whose window wait takes a deadline: a stage
 // co_awaits it, send_for() runs it in place in a process, and send() is
-// send_for() with no deadline.
+// send_for() with no deadline. The timed receive is a task too,
+// recv_task(), which FastSocket's receive task awaits.
 //
 // Lifetime: the stage frames co-own the pipe state, so a Pipe handle may be
 // destroyed at any simulated time; in-flight work finishes against the
@@ -98,9 +99,11 @@ class Pipe {
 
   /// Blocking receive; nullopt after close() once drained.
   std::optional<Message> recv();
-  /// Timed receive; ok(nullopt) means closed-and-drained, kTimeout means
-  /// nothing was deliverable within `timeout` (<= 0 = wait forever).
-  [[nodiscard]] Result<std::optional<Message>> recv_for(SimTime timeout);
+  /// Timed receive, as a task (sim/task.h): ok(nullopt) means
+  /// closed-and-drained, kTimeout means nothing was deliverable within
+  /// `timeout` (<= 0 = wait forever). A stage `co_await`s it; a process
+  /// runs it in place. The pipe must outlive the task.
+  sim::Task<Result<std::optional<Message>>> recv_task(SimTime timeout);
   /// The stage form of recv(): take with try_recv(); when it finds nothing
   /// and drained() is false, `co_await readable()` and try again.
   [[nodiscard]] sim::WaitQueue::Wait readable();
@@ -125,12 +128,12 @@ class Pipe {
   [[nodiscard]] std::uint64_t frames_retransmitted() const;
 
  private:
+  /// A pipeline frame. The message it ends waits in State::messages.
   struct Frame {
     std::uint64_t bytes = 0;
     bool first = false;
     bool last = false;
     bool eof = false;
-    Message msg;  // populated on the last frame of each message
   };
 
   /// All mutable pipe state, co-owned by the two stage frames (and the
@@ -184,6 +187,10 @@ class Pipe {
     sim::WaitQueue window_waiters;
 
     sim::Channel<Frame> to_wire;
+    /// The messages whose last frame is in to_wire, propagating or
+    /// to_proto, in last-frame order: the protocol stage takes the front
+    /// one on each last frame.
+    sim::RingFifo<Message> messages;
     /// Frames crossing the propagation delay, oldest first.
     sim::RingFifo<Frame> propagating;
     sim::Channel<Frame> to_proto;

@@ -210,6 +210,22 @@ class Channel {
   /// ch.readable();` followed by try_recv() is recv().
   [[nodiscard]] WaitQueue::Wait readable() { return receivers_.wait_stage(); }
 
+  /// recv_for() as a task (task.h), with its events: what a transport's
+  /// receive task awaits. recv() and recv_for() stay plain process calls,
+  /// as a filter copy reads its fan-in queue through them (DESIGN.md §5.2).
+  Task<Result<std::optional<T>>> recv_task(SimTime timeout) {
+    const SimTime deadline = sim_->deadline_after(timeout);
+    while (items_.empty() && !closed_) {
+      if (!co_await receivers_.wait_until_stage(deadline) && items_.empty() &&
+          !closed_) {
+        co_return Error::timeout("Channel[" + name_ +
+                                 "]: recv timed out after " +
+                                 timeout.to_string());
+      }
+    }
+    co_return try_recv();  // nullopt: closed and drained
+  }
+
   /// Non-blocking receive.
   std::optional<T> try_recv() {
     if (items_.empty()) return std::nullopt;

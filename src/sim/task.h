@@ -20,10 +20,12 @@
 //   auto r = pipe.send_task(m, t).run_in_place();  // in a process
 //   auto r = co_await pipe.send_task(m, t);        // in a stage or a task
 //
-// An exception escaping the body is rethrown by run_in_place, or by the
-// co_await in the awaiting coroutine. Frames come from a size-class free
-// list (task.cc), so a warm task allocates nothing. The class is
-// [[nodiscard]]: a task neither run nor awaited never executes its body.
+// A Task<void> returns nothing: `vi.post_send_task(d).run_in_place();` or
+// `co_await vi.post_send_task(d);`. An exception escaping the body is
+// rethrown by run_in_place, or by the co_await in the awaiting coroutine.
+// Frames come from a size-class free list (task.cc), so a warm task
+// allocates nothing. The class is [[nodiscard]], Task<void> too: a task
+// neither run nor awaited never executes its body.
 #pragma once
 
 #include <concepts>
@@ -32,6 +34,7 @@
 #include <exception>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "sim/process.h"
@@ -85,16 +88,27 @@ struct TaskPromiseBase {
 template <typename P>
 concept TaskPromise = std::derived_from<P, TaskPromiseBase>;
 
+/// Where a task's promise keeps what the body co_returns: a value, or
+/// nothing for Task<void>.
+template <typename T>
+struct TaskResult {
+  void return_value(T v) { value.emplace(std::move(v)); }
+  std::optional<T> value;
+};
+template <>
+struct TaskResult<void> {
+  void return_void() noexcept {}
+};
+
+/// A task of value type T; Task<void> is one that returns nothing.
 template <typename T>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : TaskPromiseBase {  // NOLINT(readability-identifier-naming)
+  struct promise_type : TaskPromiseBase,  // NOLINT(readability-identifier-naming)
+                        TaskResult<T> {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    void return_value(T v) { value.emplace(std::move(v)); }
-
-    std::optional<T> value;
   };
 
   Task(Task&& other) noexcept : frame_(std::exchange(other.frame_, {})) {}
@@ -140,7 +154,7 @@ class [[nodiscard]] Task {
   T take() {
     promise_type& p = frame_.promise();
     if (p.error) std::rethrow_exception(p.error);
-    return std::move(*p.value);
+    if constexpr (!std::is_void_v<T>) return std::move(*p.value);
   }
 
   std::coroutine_handle<promise_type> frame_;

@@ -29,7 +29,10 @@ FastSocket::FastSocket(sim::Simulation* sim, net::Transport transport,
                        net::Node* node, net::Node* peer,
                        std::shared_ptr<net::Pipe> out,
                        std::shared_ptr<net::Pipe> in)
-    : transport_(transport), out_(std::move(out)), in_(std::move(in)) {
+    : sim_(sim),
+      transport_(transport),
+      out_(std::move(out)),
+      in_(std::move(in)) {
   init_obs(sim, node->id(), peer->id(), "fast");
 }
 
@@ -42,7 +45,8 @@ Result<void> FastSocket::send_for(net::Message m, SimTime timeout) {
   bool release = false;
   if (transport_copies(transport_)) {
     // TCP's copies are structural; the policy does not apply.
-    note_copy(CopyStage::kUserToKernel, bytes);
+    const SimTime copy = note_copy(CopyStage::kUserToKernel, bytes);
+    if (copy > SimTime::zero()) sim_->delay(copy);
   } else {
     release = policy_acquire(buffer, bytes);
   }
@@ -57,13 +61,15 @@ Result<void> FastSocket::send_for(net::Message m, SimTime timeout) {
   return r;
 }
 
-Result<std::optional<net::Message>> FastSocket::recv_for(SimTime timeout) {
+sim::Task<Result<std::optional<net::Message>>> FastSocket::recv_task(
+    SimTime timeout) {
   const SimTime start = obs_now();
-  auto r = in_->recv_for(timeout);
+  auto r = co_await in_->recv_task(timeout);
   if (r.ok() && r.value() && transport_copies(transport_)) {
-    note_copy(CopyStage::kKernelToUser, r.value()->bytes);
+    const SimTime copy = note_copy(CopyStage::kKernelToUser, r.value()->bytes);
+    if (copy > SimTime::zero()) co_await sim_->sleep(copy);
   }
-  return finish_recv(start, std::move(r));
+  co_return finish_recv(start, std::move(r));
 }
 
 void FastSocket::close_send() { out_->close(); }

@@ -17,7 +17,8 @@ class FastSocket final : public SvSocket {
                               const std::string& name);
 
   [[nodiscard]] Result<void> send_for(net::Message m, SimTime timeout) override;
-  [[nodiscard]] Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
+  sim::Task<Result<std::optional<net::Message>>> recv_task(
+      SimTime timeout) override;
   void close_send() override;
 
  private:
@@ -25,6 +26,7 @@ class FastSocket final : public SvSocket {
              net::Node* peer, std::shared_ptr<net::Pipe> out,
              std::shared_ptr<net::Pipe> in);
 
+  sim::Simulation* sim_;
   net::Transport transport_;
   std::shared_ptr<net::Pipe> out_;
   std::shared_ptr<net::Pipe> in_;

@@ -84,21 +84,18 @@ void SvSocket::note_timeout(std::string_view op) {
   }
 }
 
-void SvSocket::note_copy(CopyStage stage, std::uint64_t bytes) {
-  if (sim_ == nullptr) return;
+SimTime SvSocket::note_copy(CopyStage stage, std::uint64_t bytes) {
+  if (sim_ == nullptr) return SimTime::zero();
   static constexpr std::array<std::string_view, 2> kStageNames = {
       "tcp.user_to_kernel", "tcp.kernel_to_user"};
   const auto i = static_cast<std::size_t>(stage);
   if (!copy_counters_[i]) copy_counters_[i].emplace(hub_, kStageNames[i]);
   copy_counters_[i]->charge(sim_->now(), node_id_, bytes);
-  if (copy_scale_pct_ > 0) {
-    // Scaled copy time (ablation): integer ns arithmetic keeps the charge
-    // bit-reproducible (no float time; svlint SV006).
-    const SimTime base = copy_per_byte_.for_bytes(bytes);
-    const SimTime extra = SimTime::nanoseconds(
-        base.ns() * copy_scale_pct_ / 100);
-    if (extra > SimTime::zero()) sim_->delay(extra);
-  }
+  if (copy_scale_pct_ <= 0) return SimTime::zero();
+  // Scaled copy time (ablation): integer ns arithmetic keeps the charge
+  // bit-reproducible (no float time; svlint SV006).
+  const SimTime base = copy_per_byte_.for_bytes(bytes);
+  return SimTime::nanoseconds(base.ns() * copy_scale_pct_ / 100);
 }
 
 void SvSocket::set_copy_ablation(PerByteCost copy_per_byte, int scale_pct) {

@@ -17,8 +17,10 @@
 // Tests assert the two levels agree on message timing.
 //
 // Each transport writes each blocking operation once, as a body that waits
-// until a deadline (send_for, recv_for); send() and recv() are that body
-// with no deadline, so the blocking and the timed path cannot drift apart.
+// until a deadline: send_for, and the receive as a sim::Task, recv_task,
+// that a stage awaits and recv_for runs in place in a process. send() and
+// recv() are those bodies with no deadline, so the blocking and the timed
+// path, and the process and the stage form, cannot drift apart.
 #pragma once
 
 #include <array>
@@ -35,6 +37,7 @@
 #include "net/calibration.h"
 #include "net/fabric.h"
 #include "obs/hub.h"
+#include "sim/task.h"
 
 namespace sv::sockets {
 
@@ -57,7 +60,7 @@ struct SocketStats {
 };
 
 /// A connected, bidirectional, message-oriented blocking socket endpoint.
-/// A transport implements three operations: send_for, recv_for and
+/// A transport implements three operations: send_for, recv_task and
 /// close_send.
 class SvSocket {
  public:
@@ -76,7 +79,15 @@ class SvSocket {
   /// (<= 0 means wait forever). For byte-stream transports a timeout may
   /// strand a partially-drained frame, so callers must treat a timeout as
   /// fatal for the stream (the stalled-peer recovery story; see fault.h).
-  [[nodiscard]] virtual Result<std::optional<net::Message>> recv_for(SimTime timeout) = 0;
+  /// Runs recv_task() in place, so it must run inside a simulated process.
+  [[nodiscard]] Result<std::optional<net::Message>> recv_for(SimTime timeout) {
+    return recv_task(timeout).run_in_place();
+  }
+  /// The one receive body, as a task (sim/task.h): a stage `co_await`s it
+  /// and gets recv_for()'s result, with the same events. The socket must
+  /// outlive the task.
+  virtual sim::Task<Result<std::optional<net::Message>>> recv_task(
+      SimTime timeout) = 0;
 
   /// Half-close: no further sends from this side; peer sees end-of-stream.
   virtual void close_send() = 0;
@@ -118,7 +129,7 @@ class SvSocket {
   /// Counter bumps for every accepted send / delivered receive.
   void note_sent(std::uint64_t bytes);
   void note_received(std::uint64_t bytes);
-  /// The common tail of recv_for() begun at `start`: counts and spans a
+  /// The common tail of recv_task() begun at `start`: counts and spans a
   /// delivered message, or counts a timeout as "timeout.recv".
   Result<std::optional<net::Message>> finish_recv(
       SimTime start, Result<std::optional<net::Message>>&& r);
@@ -131,11 +142,12 @@ class SvSocket {
   enum class CopyStage { kUserToKernel, kKernelToUser };
   /// Records one modeled payload copy (mem/ledger.h): `mem.copies`/
   /// `mem.copy_bytes` counters plus a trace instant at `stage`. Accounting
-  /// only — unless a copy-cost ablation scale is installed
-  /// (set_copy_ablation), in which case the scaled copy time is
-  /// additionally charged to the calling process. Zero-copy transports
-  /// never call this; that absence IS their model.
-  void note_copy(CopyStage stage, std::uint64_t bytes);
+  /// only, and returns zero — unless a copy-cost ablation scale is
+  /// installed (set_copy_ablation): then it returns the scaled copy time,
+  /// which the caller charges (delay in a process, sleep in a task) when
+  /// positive. Zero-copy transports never call this; that absence IS their
+  /// model.
+  [[nodiscard]] SimTime note_copy(CopyStage stage, std::uint64_t bytes);
   /// Records span [start, now] as `socket.<label>.<op>` on the local node.
   void obs_span(SimTime start, std::string_view op, std::uint64_t bytes);
   [[nodiscard]] SimTime obs_now() const;

@@ -69,7 +69,8 @@ Result<void> DetailedTcpSocket::send_for(net::Message m, SimTime timeout) {
   outgoing_->meta_available.notify_all();
   // Handing user bytes to the stack models the write()-side user->kernel
   // copy; its time is already in the calibrated per-byte send cost.
-  note_copy(CopyStage::kUserToKernel, bytes);
+  const SimTime copy = note_copy(CopyStage::kUserToKernel, bytes);
+  if (copy > SimTime::zero()) sim.delay(copy);
   auto r = conn_->send_until(std::move(frame), deadline);
   if (!r.ok()) {
     note_timeout("timeout.sndbuf");
@@ -80,37 +81,39 @@ Result<void> DetailedTcpSocket::send_for(net::Message m, SimTime timeout) {
   return r;
 }
 
-Result<std::optional<net::Message>> DetailedTcpSocket::recv_for(
+sim::Task<Result<std::optional<net::Message>>> DetailedTcpSocket::recv_task(
     SimTime timeout) {
   sim::Simulation& sim = conn_->stack().sim();
   const SimTime start = obs_now();
   const SimTime deadline = sim.deadline_after(timeout);
   while (incoming_->metas.empty()) {
-    if (!incoming_->meta_available.wait_until(deadline) &&
+    if (!co_await incoming_->meta_available.wait_until_stage(deadline) &&
         incoming_->metas.empty()) {
       note_timeout("timeout.recv");
-      return Error::timeout("DetailedTcpSocket: recv timed out");
+      co_return Error::timeout("DetailedTcpSocket: recv timed out");
     }
   }
   if (is_eof_marker(incoming_->metas.front())) {
-    return std::optional<net::Message>{};
+    co_return std::optional<net::Message>{};
   }
   // Drain the frame by the same deadline; the meta entry is consumed only
   // on success so a timed-out socket fails loudly, not subtly.
-  auto drained = conn_->recv_exact_until(
-      kHeaderBytes + incoming_->metas.front().bytes, deadline);
+  mem::Payload frame;
+  auto drained = co_await conn_->recv_exact_task(
+      kHeaderBytes + incoming_->metas.front().bytes, deadline, &frame);
   if (!drained.ok()) {
     note_timeout("timeout.recv_drain");
-    return drained.error();
+    co_return drained.error();
   }
   net::Message m = std::move(incoming_->metas.front());
   incoming_->metas.pop_front();
-  attach_body(m, drained.value(), kHeaderBytes);
-  note_copy(CopyStage::kKernelToUser, m.bytes);
+  attach_body(m, frame, kHeaderBytes);
+  const SimTime copy = note_copy(CopyStage::kKernelToUser, m.bytes);
+  if (copy > SimTime::zero()) co_await sim.sleep(copy);
   m.delivered_at = sim.now();
   note_received(m.bytes);
   obs_span(start, "recv", m.bytes);
-  return std::optional<net::Message>(std::move(m));
+  co_return std::optional<net::Message>(std::move(m));
 }
 
 void DetailedTcpSocket::close_send() {

@@ -26,7 +26,8 @@ class DetailedTcpSocket final : public SvSocket {
   [[nodiscard]] Result<void> send_for(net::Message m, SimTime timeout) override;
   /// Timed receive. On kTimeout a frame may be partially drained from the
   /// TCP stream; the socket must then be abandoned.
-  [[nodiscard]] Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
+  sim::Task<Result<std::optional<net::Message>>> recv_task(
+      SimTime timeout) override;
   void close_send() override;
 
  private:

@@ -34,14 +34,7 @@ SocketPair DetailedViaSocket::make_pair(via::Nic& a, via::Nic& b,
   via::Nic::connect(*va, *vb);
   state->setup_side(0, a, std::move(va));
   state->setup_side(1, b, std::move(vb));
-  for (int i = 0; i < 2; ++i) {
-    a.sim().spawn(
-        "via_sock.demux" + std::to_string(i) + ".node" +
-            std::to_string(state->sides[static_cast<std::size_t>(i)]
-                               .nic->node()
-                               .id()),
-        [state, i] { state->demux_loop(i); });
-  }
+  for (int i = 0; i < 2; ++i) a.sim().start(demux_stage(state, i));
   std::unique_ptr<SvSocket> sa(new DetailedViaSocket(state, 0));
   std::unique_ptr<SvSocket> sb(new DetailedViaSocket(std::move(state), 1));
   return {std::move(sa), std::move(sb)};
@@ -91,31 +84,35 @@ void DetailedViaSocket::PairState::post_one_recv(int i) {
   s.vi->post_recv(std::move(d));
 }
 
-void DetailedViaSocket::PairState::send_control(int i, Kind kind,
-                                                std::uint32_t value) {
+sim::Task<void> DetailedViaSocket::PairState::send_control(
+    int i, Kind kind, std::uint32_t value) {
   Side& s = sides[static_cast<std::size_t>(i)];
   via::Descriptor d;
   d.region = s.send_region;
   d.length = 0;
   d.immediate = (static_cast<std::uint32_t>(kind) << kKindShift) |
                 (value & kValueMask);
-  s.vi->post_send(std::move(d));
+  co_await s.vi->post_send_task(std::move(d));
   while (s.vi->send_cq().poll()) {
   }
 }
 
-void DetailedViaSocket::PairState::demux_loop(int i) {
-  Side& me = sides[static_cast<std::size_t>(i)];
-  Side& peer = sides[static_cast<std::size_t>(1 - i)];
+sim::Stage DetailedViaSocket::demux_stage(std::shared_ptr<PairState> state,
+                                          int i) {
+  PairState& ps = *state;
+  Side& me = ps.sides[static_cast<std::size_t>(i)];
+  Side& peer = ps.sides[static_cast<std::size_t>(1 - i)];
+  via::CompletionQueue& cq = me.vi->recv_cq();
   while (true) {
-    via::Completion c = me.vi->recv_cq().wait();
+    while (cq.pending() == 0) co_await cq.readable();
+    const via::Completion c = *cq.poll();
     if (c.status != via::Status::kSuccess) {
       throw std::logic_error("SocketVIA: unexpected VIA receive error: " +
                              std::string(via::status_name(c.status)));
     }
     // Immediately re-post the consumed descriptor to keep the pool full —
     // the invariant that makes credit-gated sends always land.
-    post_one_recv(i);
+    ps.post_one_recv(i);
     const auto kind = static_cast<Kind>(c.immediate >> kKindShift);
     const std::uint32_t value = c.immediate & kValueMask;
     switch (kind) {
@@ -132,25 +129,26 @@ void DetailedViaSocket::PairState::demux_loop(int i) {
         [[fallthrough]];
       case kCont: {
         --me.pending_chunks;
-        // Receiver-side socket bookkeeping delta over raw VIA.
-        bookkeeping(SimTime::nanoseconds(100));
+        // Receiver-side socket bookkeeping delta over raw VIA (none on the
+        // push path, as bookkeeping() charges).
+        if (!ps.rdma()) co_await ps.sim->sleep(SimTime::nanoseconds(100));
         ++me.consumed_since_credit;
         if (me.pending_chunks == 0) {
           // The message is complete; metadata comes from the peer's side
           // queue, in order.
-          bookkeeping(SimTime::nanoseconds(250));
+          if (!ps.rdma()) co_await ps.sim->sleep(SimTime::nanoseconds(250));
           if (peer.outgoing_meta.empty()) {
             throw std::logic_error("SocketVIA: data chunk without metadata");
           }
           net::Message m = std::move(peer.outgoing_meta.front());
           peer.outgoing_meta.pop_front();
-          m.delivered_at = sim->now();
+          m.delivered_at = ps.sim->now();
           if (!me.delivered.closed()) {
             me.delivered.send(std::move(m));
           }
         }
-        if (me.consumed_since_credit >= options.credit_batch) {
-          send_control(i, kCredit, me.consumed_since_credit);
+        if (me.consumed_since_credit >= ps.options.credit_batch) {
+          co_await ps.send_control(i, kCredit, me.consumed_since_credit);
           me.credit_updates->inc();
           me.consumed_since_credit = 0;
         }
@@ -242,17 +240,17 @@ Result<void> DetailedViaSocket::send_for(net::Message m, SimTime timeout) {
   return Result<void>::success();
 }
 
-Result<std::optional<net::Message>> DetailedViaSocket::recv_for(
+sim::Task<Result<std::optional<net::Message>>> DetailedViaSocket::recv_task(
     SimTime timeout) {
   const SimTime start = obs_now();
-  return finish_recv(start, mine().delivered.recv_for(timeout));
+  co_return finish_recv(start, co_await mine().delivered.recv_task(timeout));
 }
 
 void DetailedViaSocket::close_send() {
   Side& me = mine();
   if (me.send_closed) return;
   me.send_closed = true;
-  state_->send_control(side_, kEof, 0);
+  state_->send_control(side_, kEof, 0).run_in_place();
 }
 
 }  // namespace sv::sockets

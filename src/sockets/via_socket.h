@@ -23,7 +23,12 @@
 // control, credit traffic, and completion handling all cost simulated time
 // through the calibrated VIA profile.
 //
-// Lifetime: the demux processes co-own the connection state, so socket
+// Each endpoint's receive completions are demultiplexed by a sim::Stage
+// (sim/stage.h), not a process: it re-posts descriptors, returns credits
+// and delivers complete messages. The credit updates it sends ring the
+// doorbell through Vi::post_send_task, the task a process runs in place.
+//
+// Lifetime: the demux stages co-own the connection state, so socket
 // handles may be destroyed at any simulated time. The via::Nic objects and
 // the Simulation must outlive message flow.
 #pragma once
@@ -70,7 +75,8 @@ class DetailedViaSocket final : public SvSocket {
   /// instead of blocking forever on credit_wait.
   [[nodiscard]] Result<void> send_for(net::Message m, SimTime timeout) override;
   /// Timed receive (ok(nullopt) = EOF; kTimeout = nothing delivered).
-  [[nodiscard]] Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
+  sim::Task<Result<std::optional<net::Message>>> recv_task(
+      SimTime timeout) override;
   void close_send() override;
 
   /// Diagnostics for tests.
@@ -88,7 +94,7 @@ class DetailedViaSocket final : public SvSocket {
   static constexpr std::uint32_t kKindShift = 30;
   static constexpr std::uint32_t kValueMask = (1u << kKindShift) - 1;
 
-  /// Per-endpoint connection state, co-owned by the demux process.
+  /// Per-endpoint connection state, co-owned by the demux stage.
   struct Side {
     Side(sim::Simulation* sim, int index);
 
@@ -126,15 +132,21 @@ class DetailedViaSocket final : public SvSocket {
     [[nodiscard]] bool rdma() const {
       return options.data_path == ViaDataPath::kRdmaWrite;
     }
-    /// Charges SocketVIA's calibrated bookkeeping delta over raw VIA. The
-    /// push path skips the delay altogether: a zero delay would still
-    /// schedule an event.
+    /// Charges SocketVIA's calibrated bookkeeping delta over raw VIA to
+    /// the calling process. The push path skips the delay altogether: a
+    /// zero delay would still schedule an event.
     void bookkeeping(SimTime cost);
     void setup_side(int i, via::Nic& nic, std::shared_ptr<via::Vi> vi);
     void post_one_recv(int i);
-    void send_control(int i, Kind kind, std::uint32_t value);
-    void demux_loop(int i);
+    /// Sends a dataless control message (credit update or EOF) from side
+    /// `i` and reaps its send completions.
+    sim::Task<void> send_control(int i, Kind kind, std::uint32_t value);
   };
+
+  /// Side `i`'s receive demultiplexer: per receive completion, re-posts the
+  /// descriptor, then takes returned credits, EOF or a data chunk, and
+  /// returns credits once a batch of chunks is consumed.
+  static sim::Stage demux_stage(std::shared_ptr<PairState> state, int i);
 
   DetailedViaSocket(std::shared_ptr<PairState> state, int side);
 

@@ -144,35 +144,35 @@ std::uint64_t TcpConnection::recv(std::uint64_t max) {
 }
 
 std::uint64_t TcpConnection::recv_exact(std::uint64_t n) {
-  return recv_exact_impl(n, SimTime::max(), nullptr).value();
+  return recv_exact_task(n, SimTime::max(), nullptr).run_in_place().value();
 }
 
 Result<mem::Payload> TcpConnection::recv_exact_until(std::uint64_t n,
                                                      SimTime deadline) {
   mem::Payload out;
-  auto r = recv_exact_impl(n, deadline, &out);
+  auto r = recv_exact_task(n, deadline, &out).run_in_place();
   if (!r.ok()) return r.error();
   return out;
 }
 
-Result<std::uint64_t> TcpConnection::recv_exact_impl(std::uint64_t n,
-                                                     SimTime deadline,
-                                                     mem::Payload* out) {
-  if (n == 0) return std::uint64_t{0};
+sim::Task<Result<std::uint64_t>> TcpConnection::recv_exact_task(
+    std::uint64_t n, SimTime deadline, mem::Payload* out) {
+  if (n == 0) co_return std::uint64_t{0};
   // One MSG_WAITALL syscall: a single fixed cost, then drain until n bytes.
   bool charged = false;
   std::uint64_t total = 0;
   while (total < n) {
     while (recv_buf_bytes_ == 0 && !fin_received_) {
-      if (!recv_wait_.wait_until(deadline) && recv_buf_bytes_ == 0 &&
-          !fin_received_) {
-        return Error::timeout("TcpConnection[" + name_ +
-                              "]: recv timed out at " + deadline.to_string());
+      if (!co_await recv_wait_.wait_until_stage(deadline) &&
+          recv_buf_bytes_ == 0 && !fin_received_) {
+        co_return Error::timeout("TcpConnection[" + name_ +
+                                 "]: recv timed out at " +
+                                 deadline.to_string());
       }
     }
     if (recv_buf_bytes_ == 0) break;  // EOF before n bytes
     if (!charged) {
-      stack_->sim().delay(stack_->profile().recv_fixed);
+      co_await stack_->sim().sleep(stack_->profile().recv_fixed);
       charged = true;
     }
     const std::uint64_t take = std::min(n - total, recv_buf_bytes_);
@@ -182,7 +182,7 @@ Result<std::uint64_t> TcpConnection::recv_exact_impl(std::uint64_t n,
     total += take;
     peer_->tx_wake_.notify_all();
   }
-  return total;
+  co_return total;
 }
 
 sim::Stage TcpConnection::tx_stage() {

@@ -5,7 +5,8 @@
 // buffer, delayed-ACK (ack every 2nd segment or after a timeout), Nagle's
 // algorithm, blocking send/recv with socket buffers (one body each for
 // sending and for draining exactly n bytes, which waits until a deadline;
-// send() and recv_exact() pass none), FIN/close sequencing,
+// send() and recv_exact() pass none, and the drain is a sim::Task that a
+// stage can await), FIN/close sequencing,
 // and real loss recovery: a retransmission timer with exponential backoff,
 // duplicate-ACK fast retransmit, and out-of-order reassembly at the
 // receiver. Per-segment and per-syscall costs come from the calibrated
@@ -47,6 +48,7 @@
 #include "obs/metrics.h"
 #include "sim/ring_fifo.h"
 #include "sim/sync.h"
+#include "sim/task.h"
 
 namespace sv::tcpstack {
 
@@ -108,7 +110,8 @@ class TcpConnection {
   std::uint64_t recv(std::uint64_t max);
 
   /// MSG_WAITALL-style receive: blocks until exactly `n` bytes are drained
-  /// (or end-of-stream; returns bytes actually read).
+  /// (or end-of-stream; returns bytes actually read). Runs
+  /// recv_exact_task() in place.
   std::uint64_t recv_exact(std::uint64_t n);
 
   /// recv_exact returning the drained bytes as a payload chain assembled
@@ -116,9 +119,18 @@ class TcpConnection {
   /// `deadline` that passes first it returns ErrorCode::kTimeout and the
   /// partially drained bytes are lost to the caller, so treat a timeout as
   /// fatal for the stream (the recovery story the DataCutter runtime needs
-  /// for stalled peers). SimTime::max() waits forever.
+  /// for stalled peers). SimTime::max() waits forever. Runs
+  /// recv_exact_task() in place.
   [[nodiscard]] Result<mem::Payload> recv_exact_until(std::uint64_t n,
                                                       SimTime deadline);
+  /// The one MSG_WAITALL body, as a task (sim/task.h) that a stage or a
+  /// socket's receive task awaits: drains `n` bytes by `deadline` and
+  /// returns how many it drained. When `out` is non-null the drained bytes
+  /// are appended to it as zero-copy slices. The connection must outlive
+  /// the task.
+  sim::Task<Result<std::uint64_t>> recv_exact_task(std::uint64_t n,
+                                                   SimTime deadline,
+                                                   mem::Payload* out);
 
   /// Half-closes the sending direction (FIN after all queued data).
   void close();
@@ -177,10 +189,6 @@ class TcpConnection {
     HeldSegment held{};
   };
 
-  /// Common body of recv_exact and recv_exact_until. When `out` is
-  /// non-null the drained bytes are appended to it as zero-copy slices.
-  Result<std::uint64_t> recv_exact_impl(std::uint64_t n, SimTime deadline,
-                                        mem::Payload* out);
   /// The transmit stage: picks the next segment (a retransmit, new data
   /// or a FIN), holds tx_host for send_per_seg, puts it on the wire and
   /// arms the RTO; waits on tx_wake_ when nothing may be sent.

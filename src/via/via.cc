@@ -36,6 +36,10 @@ void Vi::post_recv(Descriptor d) {
 }
 
 void Vi::post_send(Descriptor d) {
+  post_send_task(std::move(d)).run_in_place();
+}
+
+sim::Task<void> Vi::post_send_task(Descriptor d) {
   if (!connected()) {
     throw std::logic_error("post_send: VI not connected");
   }
@@ -47,7 +51,13 @@ void Vi::post_send(Descriptor d) {
       throw std::invalid_argument("post_send: descriptor exceeds region");
     }
   }
-  nic_->post_send_internal(this, std::move(d));
+  // Doorbell + sender-side library work, serialized on the host TX path.
+  Nic& nic = *nic_;
+  sim::Resource& tx_host = nic.node_->tx_host();
+  co_await tx_host.acquire_stage();
+  co_await nic.sim_->sleep(nic.model_.sender_time(d.length));
+  tx_host.release();
+  nic.tx_queue_.send(Nic::TxWork{this, std::move(d)});
 }
 
 Nic::Nic(sim::Simulation* sim, net::Node* node, net::CalibrationProfile profile)
@@ -113,12 +123,6 @@ void Nic::connect(Vi& a, Vi& b) {
   }
   a.peer_ = &b;
   b.peer_ = &a;
-}
-
-void Nic::post_send_internal(Vi* vi, Descriptor d) {
-  // Doorbell + sender-side library work, serialized on the host TX path.
-  node_->tx_host().use(model_.sender_time(d.length));
-  tx_queue_.send(TxWork{vi, std::move(d)});
 }
 
 sim::Stage Nic::tx_stage() {

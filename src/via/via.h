@@ -19,7 +19,9 @@
 // The NIC's transmit and receive engines are sim::Stage coroutines
 // (sim/stage.h), not processes: a NIC owns no fiber stack, a descriptor
 // costs coroutine resumes instead of fiber round trips, and every event
-// keeps the (time, id) the process form gave it (DESIGN.md §5.2).
+// keeps the (time, id) the process form gave it (DESIGN.md §5.2). The
+// doorbell is written once, as the sim::Task Vi::post_send_task: a process
+// runs it in place (post_send) and a stage awaits it.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +36,7 @@
 #include "net/cost_model.h"
 #include "sim/ring_fifo.h"
 #include "sim/sync.h"
+#include "sim/task.h"
 
 namespace sv::via {
 
@@ -111,6 +114,9 @@ class CompletionQueue {
   }
   /// Non-blocking poll (VipCQDone).
   std::optional<Completion> poll() { return items_.try_recv(); }
+  /// wait()'s stage form: `while (!cq.pending()) co_await cq.readable();`
+  /// then poll().
+  [[nodiscard]] sim::WaitQueue::Wait readable() { return items_.readable(); }
   [[nodiscard]] std::size_t pending() const { return items_.size(); }
 
   void push(Completion c) { items_.send(std::move(c)); }
@@ -134,8 +140,12 @@ class Vi {
   /// Posts a receive descriptor (VipPostRecv). Never blocks.
   void post_recv(Descriptor d);
   /// Posts a send/RDMA descriptor and rings the doorbell (VipPostSend).
-  /// Costs the doorbell time; the transfer itself is asynchronous.
+  /// Costs the doorbell time; the transfer itself is asynchronous. Runs
+  /// post_send_task() in place.
   void post_send(Descriptor d);
+  /// The one doorbell body, as a task (sim/task.h): a stage `co_await`s it
+  /// with post_send()'s events. The VI must outlive the task.
+  sim::Task<void> post_send_task(Descriptor d);
 
   [[nodiscard]] CompletionQueue& send_cq() { return *send_cq_; }
   [[nodiscard]] CompletionQueue& recv_cq() { return *recv_cq_; }
@@ -196,7 +206,6 @@ class Nic {
     Descriptor desc;
   };
 
-  void post_send_internal(Vi* vi, Descriptor d);
   /// The transmit engine: per posted descriptor, the peer's link_in, then
   /// the propagation hand-off to the peer NIC's receive engine.
   sim::Stage tx_stage();

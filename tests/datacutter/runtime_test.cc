@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "datacutter/local_socket.h"
+#include "sim/task.h"
 
 namespace sv::dc {
 namespace {
@@ -294,6 +295,56 @@ TEST(RuntimeTest, StartTwiceThrows) {
   Runtime rt(&f.s, &f.cluster, &f.factory, simple_group(&rec, 1, 64));
   rt.start();
   EXPECT_THROW(rt.start(), std::logic_error);
+}
+
+/// A demand-driven source on node 0 feeding sink copies on `placement`.
+FilterGroup dd_fan_out(SinkRecord* rec, std::vector<std::size_t> placement) {
+  FilterGroup g;
+  g.add_filter(
+      "src", [] { return std::make_unique<EmitterFilter>(6, 20'000); }, {0});
+  g.add_filter("sink", [rec] { return std::make_unique<RecordingSink>(rec); },
+               std::move(placement));
+  g.add_stream("src", "sink", SchedPolicy::kDemandDriven);
+  return g;
+}
+
+TEST(RuntimeTest, FilterCopiesAreTheOnlyProcesses) {
+  // Fan-ins and demand-driven ack drains are stages (DESIGN.md §5.2).
+  Fixture f;
+  SinkRecord rec;
+  Runtime rt(&f.s, &f.cluster, &f.factory, dd_fan_out(&rec, {0, 1, 2}));
+  rt.start();
+  EXPECT_EQ(f.s.live_process_count(), 4u);
+  rt.submit(Uow{.id = 1});
+  rt.close_input();
+  f.s.run();
+  EXPECT_EQ(rec.tags.size(), 6u);
+  EXPECT_EQ(f.s.live_process_count(), 0u);
+}
+
+TEST(RuntimeTest, DestroyedSimulationFreesStagesWaitingInReceiveTasks) {
+  // At the end of a run every ack drain still waits in its socket's
+  // receive task (the consumers never close the return direction) and
+  // each SocketVIA demux on its completion queue; destroying the
+  // simulation frees their frames, with no process to unwind.
+  const std::size_t frames = sim::task_frames_in_use();
+  {
+    sim::Simulation s;
+    net::Cluster cluster(&s, 2);
+    sockets::SocketFactory factory(&s, &cluster, sockets::Fidelity::kDetailed);
+    SinkRecord rec;
+    Runtime rt(&s, &cluster, &factory, dd_fan_out(&rec, {0, 1}),
+               RuntimeOptions{.transport = net::Transport::kSocketVia});
+    rt.start();
+    rt.submit(Uow{.id = 1});
+    rt.close_input();
+    s.run();
+    EXPECT_EQ(rec.tags.size(), 6u);
+    EXPECT_EQ(s.live_process_count(), 0u);
+    // Two ack drains, each in a socket's task awaiting a channel's.
+    EXPECT_EQ(sim::task_frames_in_use(), frames + 4);
+  }
+  EXPECT_EQ(sim::task_frames_in_use(), frames);
 }
 
 TEST(FilterGroupTest, ValidationCatchesMistakes) {

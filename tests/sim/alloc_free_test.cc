@@ -289,6 +289,42 @@ TEST(AllocFreeTest, FastSocketViaSendForWithADeadline) {
   EXPECT_EQ(w.count(), 0u) << w.per_op(kMsgs) << " allocations per message";
 }
 
+/// Receives every message on `sock` through its receive task; one op is
+/// one message.
+sim::Stage receive_all(sockets::SvSocket* sock, Window* w, int* received) {
+  for (int i = 0;; ++i) {
+    w->before(i);
+    if (i == kWarmup + kOps) w->close();
+    const Result<std::optional<net::Message>> r =
+        co_await sock->recv_task(SimTime::zero());
+    if (!r.value()) co_return;
+    ++*received;
+  }
+}
+
+TEST(AllocFreeTest, StageAwaitingAFastSocketReceive) {
+  // Each receive takes two task frames (the socket's and its pipe's),
+  // which come from the frame pool once warm. The sender writes 100
+  // messages more than the window measures, so it is still running when
+  // the window closes.
+  constexpr int kMsgs = kWarmup + kOps + 100;
+  sim::Simulation s;
+  net::Cluster cluster(&s, 2);
+  sockets::SocketFactory factory(&s, &cluster, sockets::Fidelity::kFast);
+  auto [a, b] = factory.connect(0, 1, net::Transport::kSocketVia);
+  Window w;
+  int received = 0;
+  s.start(receive_all(b.get(), &w, &received));
+  s.spawn("tx", [&a = a] {
+    for (int i = 0; i < kMsgs; ++i) a->send(net::Message{.bytes = 4_KiB});
+    a->close_send();
+  });
+  s.run();
+  ASSERT_TRUE(w.closed());
+  EXPECT_EQ(received, kMsgs);
+  EXPECT_EQ(w.count(), 0u) << w.per_op() << " allocations per message";
+}
+
 TEST(AllocFreeTest, SendMuxAggregateRoundTrip) {
   // One op queues 8 x 512 B on each of two lanes, which the sender ships
   // as one aggregate per lane, and gives both 100 us to land.

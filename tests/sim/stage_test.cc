@@ -13,6 +13,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -326,8 +327,9 @@ void send_process(SendWorld* w) {
 
 Stage send_stage(SendWorld* w) {
   for (std::uint64_t i = 0; i < 3; ++i) {
-    const Result<void> r = co_await w->pipe.send_task(
-        net::Message{.bytes = 24_KiB, .tag = i}, i == 1 ? 1_s : 0_us);
+    net::Message m{.bytes = 24_KiB, .tag = i};
+    const Result<void> r =
+        co_await w->pipe.send_task(std::move(m), i == 1 ? 1_s : 0_us);
     w->note(sent_note(i, r));
   }
   w->pipe.close();
@@ -389,7 +391,8 @@ struct StalledPipe {
 };
 
 Stage send_into(net::Pipe* pipe, SimTime timeout, Result<void>* out) {
-  *out = co_await pipe->send_task(net::Message{.bytes = 24_KiB}, timeout);
+  net::Message m{.bytes = 24_KiB};
+  *out = co_await pipe->send_task(std::move(m), timeout);
 }
 
 TEST(TaskTest, SendWhoseWindowNeverReopensTimesOutInBothForms) {
@@ -479,8 +482,8 @@ TEST(TaskTest, RunInPlaceOutsideAProcessThrowsLogicError) {
 }
 
 Stage send_holding(net::Pipe* pipe, std::shared_ptr<int> token) {
-  (void)co_await pipe->send_task(net::Message{.bytes = 24_KiB},
-                                 SimTime::zero());
+  net::Message m{.bytes = 24_KiB};
+  (void)co_await pipe->send_task(std::move(m), SimTime::zero());
   ++*token;  // never reached: the window never reopens
 }
 
